@@ -73,16 +73,12 @@ from .metrics import (
     verify_triangle,
 )
 from .netpg import (
-    BruteForceANNHelper,
-    GridANNHelper,
     NetPGViolation,
     NormalizedInput,
     PGParams,
     build_net_pg,
     build_net_pg_fast,
     build_net_pg_naive,
-    collect_ball,
-    make_helper,
     normalize,
     pg_params,
     verify_net_pg_properties,

@@ -132,9 +132,12 @@ class TreeMetricSpace(MetricSpace):
 
     def distances(self, elements, x) -> np.ndarray:
         vx = self._check_leaf(x)
+        num_leaves = self.num_leaves
         out = np.empty(len(elements), dtype=np.float64)
         for i, e in enumerate(elements):
             ve = int(e)
+            if not 0 <= ve < num_leaves:
+                raise DomainError(f"leaf id {ve} outside [0, {num_leaves})")
             out[i] = 0.0 if ve == vx else float(1 << (ve ^ vx).bit_length())
         return out
 

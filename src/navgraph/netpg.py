@@ -9,18 +9,15 @@ resulting graph is (1+epsilon)-navigable for every query in the metric space.
 Two builders produce byte-identical adjacency:
 
 * ``build_net_pg_naive`` evaluates the edge rule literally with one distance
-  row per (point, level).
-* ``build_net_pg_fast`` only touches candidates near each point: batched
-  static-grid ball collection for Euclidean inputs, per-point
-  ``collect_ball`` against a dynamic near-neighbor helper otherwise.  The
-  helpers answer 2-approximate nearest neighbors with deletions; extraction
-  stops once an extracted 2-ANN lies beyond twice the ball radius, at which
-  point no remaining point can be inside the ball.
+  row per (point, level).  It is the oracle, and on abstract metrics, where
+  no coordinates exist to bucket, it is also the production path.
+* ``build_net_pg_fast`` collects each level's balls for coordinate inputs
+  through one static grid of cell side reach_factor * 2^i, so only the 3^d
+  cells around a point are scanned; abstract inputs go to the naive rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Optional
@@ -34,6 +31,7 @@ from .metrics import (
     MetricSpace,
     PointSet,
     ScaledSpace,
+    cross_distances,
     pairwise_min_distance,
 )
 from .nets import NetHierarchy, build_net_hierarchy
@@ -46,10 +44,6 @@ __all__ = [
     "build_net_pg_naive",
     "build_net_pg_fast",
     "build_net_pg",
-    "collect_ball",
-    "GridANNHelper",
-    "BruteForceANNHelper",
-    "make_helper",
     "NetPGViolation",
     "verify_net_pg_properties",
 ]
@@ -158,215 +152,6 @@ def build_net_pg_naive(
     return g
 
 
-# ---------------------------------------------------------------------------
-# Dynamic 2-approximate nearest neighbor helpers
-
-
-class BruteForceANNHelper:
-    """Deletable exact-NN helper by linear scan (valid as a 2-ANN answer).
-
-    Works for any metric space; used where no coordinate grid exists.
-    """
-
-    def __init__(self, space: MetricSpace, all_points, member_ids: np.ndarray):
-        self.space = space
-        self.all_points = all_points
-        self.present = np.zeros(len(all_points), dtype=bool)
-        self.present[member_ids] = True
-
-    def two_ann(self, x) -> Optional[tuple[int, float]]:
-        ids = np.flatnonzero(self.present)
-        if len(ids) == 0:
-            return None
-        row = self.space.distances(self.all_points[ids], x)
-        k = int(np.argmin(row))
-        return int(ids[k]), float(row[k])
-
-    def delete(self, idx: int) -> None:
-        self.present[idx] = False
-
-    def insert(self, idx: int) -> None:
-        self.present[idx] = True
-
-
-class GridANNHelper:
-    """Deletable 2-ANN helper over a uniform grid for Euclidean points.
-
-    Points hash into cells of a fixed side length.  A query expands square
-    rings of cells around its own cell; after rings 0..R are scanned, every
-    unexplored point lies strictly beyond R * cell (floor-based cell
-    assignment makes the bound strict), so the closest scanned present point
-    is a valid 2-ANN as soon as its distance is at most 2 * R * cell, and is
-    the exact NN once the rings cover the occupied extent.
-
-    Scanned candidates are cached per query point, sorted by (distance, id);
-    deletions are skipped lazily at pop time, so the repeated same-point
-    queries issued by ``collect_ball`` cost amortized O(1) after the first.
-    A failed head check jumps straight to the ring radius that certifies the
-    head, so each query point pays for at most a handful of batched distance
-    evaluations.  Inserts invalidate the cache.
-    """
-
-    def __init__(self, space: MetricSpace, all_points: np.ndarray, member_ids, cell: float):
-        if cell <= 0:
-            raise DomainError(f"grid cell side must be positive, got {cell}")
-        self.space = space
-        self.all_points = np.asarray(all_points, dtype=np.float64)
-        self.cell = float(cell)
-        self.dim = self.all_points.shape[1]
-        self.present = np.zeros(len(self.all_points), dtype=bool)
-        # cell coordinates of every potential member, computed once
-        self.cells = np.floor(self.all_points / self.cell).astype(np.int64)
-        self.buckets: dict[tuple, set[int]] = {}
-        self.lo: Optional[list[int]] = None  # occupied cell extent
-        self.hi: Optional[list[int]] = None
-        self.cache: dict[bytes, dict] = {}
-        for idx in np.asarray(member_ids, dtype=np.int64):
-            self.insert(int(idx))
-
-    def insert(self, idx: int) -> None:
-        self.present[idx] = True
-        c = tuple(int(v) for v in self.cells[idx])
-        self.buckets.setdefault(c, set()).add(idx)
-        if self.lo is None:
-            self.lo = list(c)
-            self.hi = list(c)
-        else:
-            for k in range(self.dim):
-                if c[k] < self.lo[k]:
-                    self.lo[k] = c[k]
-                if c[k] > self.hi[k]:
-                    self.hi[k] = c[k]
-        self.cache.clear()
-
-    def delete(self, idx: int) -> None:
-        self.present[idx] = False
-        members = self.buckets.get(tuple(int(v) for v in self.cells[idx]))
-        if members:
-            members.discard(idx)
-        # extent not shrunk: a stale bound only delays exhaustion, never
-        # breaks the lower-bound argument
-
-    def _ring_cells(self, center: tuple, radius: int):
-        if radius == 0:
-            yield center
-            return
-        ranges = [range(c - radius, c + radius + 1) for c in center]
-        for cell in iter_product(*ranges):
-            if max(abs(cell[k] - center[k]) for k in range(self.dim)) == radius:
-                yield cell
-
-    def _covers_extent(self, center: tuple, radius: int) -> bool:
-        return all(
-            center[k] - radius <= self.lo[k] and center[k] + radius >= self.hi[k]
-            for k in range(self.dim)
-        )
-
-    def _expand(self, x: np.ndarray, e: dict, target: Optional[int]) -> None:
-        """Scan rings (e["ring"], target] and fold new candidates into the cache.
-
-        With no target, scan one ring at a time until some candidate appears
-        or the occupied extent is exhausted.
-        """
-        open_ended = target is None
-        if open_ended:
-            target = e["ring"] + 1
-        center = e["center"]
-        found: list[int] = []
-        while True:
-            for radius in range(e["ring"] + 1, target + 1):
-                for cell in self._ring_cells(center, radius):
-                    members = self.buckets.get(cell)
-                    if members:
-                        found.extend(members)
-            e["ring"] = target
-            if self.lo is not None and self._covers_extent(center, target):
-                e["done"] = True
-            if found or e["done"] or not open_ended:
-                break
-            target += 1
-        if found:
-            new_ids = np.array(found, dtype=np.int64)
-            new_dists = self.space.distances(self.all_points[new_ids], x)
-            ids = np.concatenate([e["ids"], new_ids])
-            dists = np.concatenate([e["dists"], new_dists])
-            order = np.lexsort((ids, dists))
-            e["ids"], e["dists"] = ids[order], dists[order]
-            e["ptr"] = 0  # deleted entries are re-skipped cheaply
-
-    def two_ann(self, x) -> Optional[tuple[int, float]]:
-        x = np.asarray(x, dtype=np.float64)
-        key = x.tobytes()
-        e = self.cache.get(key)
-        if e is None:
-            e = {
-                "ids": np.empty(0, dtype=np.int64),
-                "dists": np.empty(0, dtype=np.float64),
-                "ptr": 0,
-                "ring": -1,  # index of the last fully scanned ring
-                "done": self.lo is None,
-                "center": tuple(int(v) for v in np.floor(x / self.cell)),
-            }
-            self.cache[key] = e
-            if not e["done"]:
-                # points within one cell side of x land in rings 0..1, so
-                # start with both rings and a single distance batch
-                self._expand(x, e, target=1)
-        while True:
-            ids, dists = e["ids"], e["dists"]
-            ptr = e["ptr"]
-            while ptr < len(ids) and not self.present[ids[ptr]]:
-                ptr += 1
-            e["ptr"] = ptr
-            if ptr < len(ids):
-                d_head = float(dists[ptr])
-                if e["done"] or d_head <= 2.0 * e["ring"] * self.cell:
-                    return int(ids[ptr]), d_head
-                # jump to the radius that certifies this head as a 2-ANN;
-                # closer candidates found on the way only strengthen it
-                need = math.ceil(d_head / (2.0 * self.cell))
-                self._expand(x, e, target=max(need, e["ring"] + 1))
-            elif e["done"]:
-                return None
-            else:
-                self._expand(x, e, target=None)
-
-
-def make_helper(space: MetricSpace, pts: PointSet, member_ids: np.ndarray, cell: float):
-    """Pick the grid helper for coordinate spaces, brute force otherwise."""
-    if isinstance(space, EuclideanSpace) and not pts.is_abstract:
-        return GridANNHelper(space, pts.points, member_ids, cell)
-    return BruteForceANNHelper(space, pts.points, member_ids)
-
-
-def collect_ball(helper, x, threshold: float) -> tuple[np.ndarray, int]:
-    """All currently-present helper points within ``threshold`` of ``x``.
-
-    Repeatedly extracts a 2-ANN of x and deletes it, keeping those within the
-    threshold, until the first extraction lands beyond twice the threshold;
-    at that moment every remaining point is strictly farther than the
-    threshold (else the extracted point would not be a 2-ANN), so the
-    collected set is the exact ball.  All deletions are reinserted before
-    returning.  Returns (sorted member ids, number of points extracted).
-    """
-    collected: list[int] = []
-    deleted: list[int] = []
-    while True:
-        hit = helper.two_ann(x)
-        if hit is None:
-            break
-        idx, dist = hit
-        helper.delete(idx)
-        deleted.append(idx)
-        if dist > 2.0 * threshold:
-            break
-        if dist <= threshold:
-            collected.append(idx)
-    for idx in deleted:
-        helper.insert(idx)
-    return np.array(sorted(collected), dtype=np.int64), len(deleted)
-
-
 def _level_balls_grid(
     space: EuclideanSpace, pts: PointSet, members: np.ndarray, thr: float
 ) -> list[np.ndarray]:
@@ -421,56 +206,32 @@ def build_net_pg_fast(
     pts: PointSet,
     epsilon: float,
     hierarchy: Optional[NetHierarchy] = None,
-    check_balls: bool = False,
 ) -> ProximityGraph:
-    """Accelerated builder; byte-identical adjacency to the naive builder.
+    """Production builder; byte-identical adjacency to the naive builder.
 
-    Euclidean inputs collect each level's balls through a static grid in
-    per-cell batches, which computes exactly the ball ``collect_ball`` yields
-    against a level helper while amortizing the per-point overhead that would
-    otherwise dominate at desk scale.  Abstract metrics take the per-point
-    ``collect_ball`` path against a deletable brute-force helper.  With
-    ``check_balls`` every ball is re-verified against a linear scan (slow;
-    meant for test builds).  ``meta`` records the largest extraction count
-    seen on the helper path, for packing-bound checks.
+    Coordinate inputs collect each level's balls through a static grid in
+    per-cell batches, one distance matrix per occupied cell, which amortizes
+    the per-point overhead that dominates the row-per-point rule at desk
+    scale.  Abstract metrics have no coordinates to bucket, and the
+    definitional rule is the fastest correct path there, so they get
+    ``build_net_pg_naive``.
     """
+    if pts.is_abstract or not isinstance(space, EuclideanSpace):
+        return build_net_pg_naive(space, pts, epsilon, hierarchy)
     if hierarchy is None:
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon, hierarchy)
     n = pts.n
-    batched = isinstance(space, EuclideanSpace) and not pts.is_abstract
     per_vertex: list[set[int]] = [set() for _ in range(n)]
-    max_extracted = 0
     for level in range(hierarchy.top_level + 1):
         members = hierarchy.members(level)
         thr = _level_threshold(params.reach_factor, level)
-        if batched:
-            balls = _level_balls_grid(space, pts, members, thr)
-        else:
-            helper = make_helper(space, pts, members, cell=2.0 * thr)
-            balls = []
-            for p in range(n):
-                ball, extracted = collect_ball(helper, pts.points[p], thr)
-                max_extracted = max(max_extracted, extracted)
-                balls.append(ball)
+        balls = _level_balls_grid(space, pts, members, thr)
         for p in range(n):
-            ball = balls[p]
-            if check_balls:
-                row = space.distances(pts.points[members], pts.points[p])
-                expect = np.sort(members[row <= thr])
-                if not np.array_equal(ball, expect):
-                    raise AssertionError(
-                        f"ball mismatch at point {p}, level {level}: "
-                        f"{ball.tolist()} vs {expect.tolist()}"
-                    )
-            per_vertex[p].update(int(y) for y in ball if y != p)
+            per_vertex[p].update(int(y) for y in balls[p] if y != p)
     rows = [np.array(sorted(s), dtype=np.int64) for s in per_vertex]
     g = ProximityGraph(n, rows, provenance="net")
-    g.meta = {
-        "hierarchy": hierarchy,
-        "params": params,
-        "max_extracted": max_extracted,
-    }
+    g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 
 
@@ -495,13 +256,14 @@ def verify_net_pg_properties(
     hierarchy: Optional[NetHierarchy] = None,
     params: Optional[PGParams] = None,
 ) -> Optional[NetPGViolation]:
-    """Re-derive the level edge groups and check the graph matches exactly.
+    """Check the level edge groups and that the graph matches the edge rule.
 
     For every vertex p and level i the group is the net members within
     reach_factor * 2^i of p (p excluded).  Checks: group members pairwise at
-    least 2^i apart, the union of groups equals p's out-neighbors exactly,
-    and every vertex keeps out-degree >= 1.  Returns the first violation or
-    None.  Hierarchy and parameters default to the graph's build metadata.
+    least 2^i apart, p's out-neighbors equal those of ``build_net_pg_naive``
+    exactly, and every vertex keeps out-degree >= 1.  Returns the first
+    violation or None.  Hierarchy and parameters default to the graph's
+    build metadata; parameters must be the ones their epsilon gives.
     """
     if hierarchy is None:
         hierarchy = graph.meta.get("hierarchy")
@@ -513,39 +275,50 @@ def verify_net_pg_properties(
             raise DomainError("no parameters: pass params or a graph with build meta")
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
+    expected_phi = pg_params(params.epsilon, hierarchy).reach_factor
+    if params.reach_factor != expected_phi:
+        raise DomainError(
+            f"reach factor {params.reach_factor} does not match epsilon "
+            f"{params.epsilon}, which gives {expected_phi}"
+        )
     n = pts.n
-    expected: list[set[int]] = [set() for _ in range(n)]
     for level in range(hierarchy.top_level + 1):
         members = hierarchy.members(level)
         member_pts = pts.points[members]
-        thr = _level_threshold(params.reach_factor, level)
         sep = float(2.0 ** level)
+        pairs = [
+            (j, k)
+            for j in range(len(members))
+            for k in np.flatnonzero(space.distances(member_pts, member_pts[j]) < sep)
+            if k != j
+        ]
+        if not pairs:
+            continue
+        # a close pair violates the level at the first vertex whose group
+        # holds both of its points
+        involved, local = np.unique(np.array(pairs), return_inverse=True)
+        local = local.reshape(-1, 2)
+        thr = _level_threshold(params.reach_factor, level)
+        in_group = cross_distances(space, pts.points, member_pts[involved]) <= thr
+        in_group[members[involved], np.arange(len(involved))] = False
         for p in range(n):
-            row = space.distances(member_pts, pts.points[p])
-            group = members[(row <= thr) & (members != p)]
-            if len(group) > 1:
-                gpts = pts.points[group]
-                for j in range(len(group)):
-                    others = space.distances(gpts, gpts[j])
-                    others[j] = np.inf
-                    if others.min() < sep:
-                        return NetPGViolation(
-                            kind="level-separation",
-                            vertex=p,
-                            level=level,
-                            details=f"group members closer than {sep}",
-                        )
-            expected[p].update(int(y) for y in group)
+            if (in_group[p, local[:, 0]] & in_group[p, local[:, 1]]).any():
+                return NetPGViolation(
+                    kind="level-separation",
+                    vertex=p,
+                    level=level,
+                    details=f"group members closer than {sep}",
+                )
+    want = build_net_pg_naive(space, pts, params.epsilon, hierarchy=hierarchy).out_edges
     for p in range(n):
-        want = np.array(sorted(expected[p]), dtype=np.int64)
         got = graph.out_edges[p]
         if len(got) == 0:
             return NetPGViolation(
                 kind="isolated-vertex", vertex=p, level=-1, details="out-degree 0"
             )
-        if not np.array_equal(want, got):
-            missing = np.setdiff1d(want, got)
-            extra = np.setdiff1d(got, want)
+        if not np.array_equal(want[p], got):
+            missing = np.setdiff1d(want[p], got)
+            extra = np.setdiff1d(got, want[p])
             return NetPGViolation(
                 kind="edge-set-mismatch",
                 vertex=p,

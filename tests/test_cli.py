@@ -161,6 +161,22 @@ def test_verify_net_props_via_cli(workspace):
     assert run(["verify", "net-props", "--points", pts, "--eps", 1.0]) == 0
 
 
+def test_tree_metric_build_and_verify_via_cli(tmp_path, capsys):
+    leaves = tmp_path / "tree.txt"
+    assert run(["gen", "tree", "--n", 8, "--delta", 64, "--out", leaves]) == 0
+    assert load_points(leaves).n == 11
+    graph = tmp_path / "g.txt"
+    tree = ["--metric", "tree", "--tree-height", 12]
+    assert run(["build", "net", "--eps", 1.0, "--in", leaves, "--out", graph, *tree]) == 0
+    assert load_graph(graph).edge_count == 93
+    assert run(["verify", "net-props", "--points", leaves, "--eps", 1.0, *tree]) == 0
+    assert "93 edges" in capsys.readouterr().out
+    # leaf 64 does not exist in a height-6 tree
+    short = ["--metric", "tree", "--tree-height", 6]
+    assert run(["build", "net", "--eps", 1.0, "--in", leaves, "--out", graph, *short]) == 2
+    assert run(["verify", "net-props", "--points", leaves, "--eps", 1.0, *short]) == 2
+
+
 def test_bench_csv_shape(workspace):
     tmp, pts = workspace
     out = tmp / "bench.csv"

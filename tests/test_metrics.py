@@ -92,6 +92,11 @@ def test_tree_rejects_out_of_range_leaf():
         space.distance(0, 16)
     with pytest.raises(DomainError):
         space.distance(-1, 0)
+    # the batch path checks every element, not only the query leaf
+    with pytest.raises(DomainError, match="leaf id 99"):
+        space.distances([0, 99], 1)
+    with pytest.raises(DomainError, match="leaf id -1"):
+        space.distances(np.array([-1, 2]), 1)
 
 
 # -- block metric -----------------------------------------------------------

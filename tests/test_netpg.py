@@ -1,27 +1,28 @@
 """Net-graph builders: constants, dual-route equality, and the verifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navgraph import (
-    BruteForceANNHelper,
     DomainError,
     EuclideanSpace,
+    Net,
+    NetPGViolation,
     PointSet,
     ProximityGraph,
     TreeMetricSpace,
     build_net_hierarchy,
     build_net_pg_fast,
     build_net_pg_naive,
-    collect_ball,
-    make_helper,
     normalize,
     pg_params,
     verify_net_pg_properties,
 )
-from navgraph.netpg import GridANNHelper, _level_balls_grid, _level_threshold
+from navgraph.netpg import _level_balls_grid, _level_threshold
 from conftest import normalized_instance, uniform_points
 
 
@@ -73,7 +74,7 @@ def test_normalize_sets_min_distance_two():
 @settings(max_examples=12, deadline=None)
 def test_fast_equals_naive_euclidean(seed, n, eps):
     space, pts = normalized_instance(n, 2, seed)
-    fast = build_net_pg_fast(space, pts, eps, check_balls=True)
+    fast = build_net_pg_fast(space, pts, eps)
     naive = build_net_pg_naive(space, pts, eps)
     assert fast == naive
 
@@ -86,70 +87,25 @@ def test_fast_equals_naive_linf_and_3d():
 
 
 def test_fast_equals_naive_abstract_tree_metric():
-    # abstract route goes through the deletable helper, not the grid
+    # abstract inputs take the definitional rule, not the grid
     tree = TreeMetricSpace(7)
     rng = np.random.default_rng(2)
     ids = PointSet(np.sort(rng.choice(2**7, size=40, replace=False)))
     norm = normalize(tree, ids)
-    fast = build_net_pg_fast(norm.space, norm.points, 1.0, check_balls=True)
+    fast = build_net_pg_fast(norm.space, norm.points, 1.0)
     naive = build_net_pg_naive(norm.space, norm.points, 1.0)
     assert fast == naive
-    assert fast.meta["max_extracted"] > 0
 
 
-def test_batched_collector_matches_collect_ball():
+def test_batched_collector_matches_linear_scan():
+    # the grid on a member subset that is not a net of the points
     space, pts = normalized_instance(70, 2, 9)
     members = np.arange(0, 70, 3, dtype=np.int64)
     thr = 9.0
     balls = _level_balls_grid(space, pts, members, thr)
-    helper = make_helper(space, pts, members, cell=2.0 * thr)
     for p in range(pts.n):
-        ball, _ = collect_ball(helper, pts.points[p], thr)
-        assert np.array_equal(balls[p], ball), p
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=15, deadline=None)
-def test_grid_helper_agrees_with_brute_force(seed):
-    # dual route for the dynamic 2-ANN structure under interleaved deletes
-    rng = np.random.default_rng(seed)
-    space, pts = normalized_instance(40, 2, seed)
-    members = np.sort(rng.choice(40, size=25, replace=False)).astype(np.int64)
-    grid = GridANNHelper(space, pts.points, members, cell=4.0)
-    brute = BruteForceANNHelper(space, pts.points, members)
-    present = list(members)
-    for _ in range(30):
-        x = pts.points[int(rng.integers(40))] + rng.normal(0, 1, size=2)
-        got = grid.two_ann(x)
-        want = brute.two_ann(x)
-        if want is None:
-            assert got is None
-            break
-        # 2-ANN contract: within twice the true nearest distance
-        row = space.distances(pts.points[np.array(present)], x)
-        true_nn = float(row.min())
-        for hit in (got, want):
-            assert hit is not None
-            assert hit[1] <= 2.0 * true_nn + 1e-12
-        if rng.random() < 0.6 and present:
-            victim = int(present.pop(int(rng.integers(len(present)))))
-            grid.delete(victim)
-            brute.delete(victim)
-
-
-def test_collect_ball_equals_linear_scan():
-    space, pts = normalized_instance(60, 2, 5)
-    members = np.arange(60, dtype=np.int64)
-    helper = make_helper(space, pts, members, cell=10.0)
-    for p in (0, 17, 59):
-        ball, extracted = collect_ball(helper, pts.points[p], 5.0)
-        row = space.distances(pts.points, pts.points[p])
-        assert np.array_equal(ball, np.flatnonzero(row <= 5.0))
-        assert extracted >= len(ball)
-    # the helper is restored after each call
-    assert len(collect_ball(helper, pts.points[0], 5.0)[0]) == len(
-        collect_ball(helper, pts.points[0], 5.0)[0]
-    )
+        row = space.distances(pts.points[members], pts.points[p])
+        assert np.array_equal(balls[p], members[row <= thr]), p
 
 
 def test_edge_rule_direct_quantifier_check():
@@ -220,6 +176,37 @@ def test_verifier_needs_params():
     bare = ProximityGraph(pts.n, list(g.out_edges), provenance="net")
     with pytest.raises(DomainError):
         verify_net_pg_properties(space, pts, bare)
+    # the edge rule comes from epsilon, so the reach factor must match it
+    wrong = dataclasses.replace(g.meta["params"], reach_factor=17.0)
+    with pytest.raises(DomainError, match="reach factor"):
+        verify_net_pg_properties(space, pts, g, params=wrong)
+
+
+def test_verifier_reports_level_separation_witness():
+    # level 1's members are only 2-separated, so as level 2 some group
+    # holds two of them closer than 4
+    space, pts = normalized_instance(60, 2, 0)
+    h = build_net_hierarchy(space, pts)
+    levels = list(h.levels)
+    levels[2] = Net(radius=levels[2].radius, members=levels[1].members)
+    bad = dataclasses.replace(h, levels=tuple(levels))
+    g = build_net_pg_naive(space, pts, 1.0, hierarchy=bad)
+    assert verify_net_pg_properties(space, pts, g) == NetPGViolation(
+        kind="level-separation",
+        vertex=0,
+        level=2,
+        details="group members closer than 4.0",
+    )
+    # a vertex is not in its own group: the close pair {0, 1} is reported
+    # at vertex 2, the first vertex that reaches both
+    line, pts = EuclideanSpace(1), PointSet(np.array([[0.0], [2.0], [30.0]]))
+    h = build_net_hierarchy(line, pts)
+    levels = list(h.levels)
+    levels[2] = Net(radius=4.0, members=np.arange(3, dtype=np.int64))
+    bad = dataclasses.replace(h, levels=tuple(levels))
+    g = build_net_pg_naive(line, pts, 1.0, hierarchy=bad)
+    v = verify_net_pg_properties(line, pts, g)
+    assert (v.kind, v.vertex, v.level) == ("level-separation", 2, 2)
 
 
 def test_min_out_degree_and_separation_law():

@@ -120,6 +120,13 @@ def merged_from_components(
     return merge_graphs(sparsify(g_net, jackpots), g_geo)
 
 
+def _extra_edge_counts(g_net: ProximityGraph, g_geo: ProximityGraph) -> np.ndarray:
+    """Per vertex v, |net_v minus geo_v|: the edges a jackpot at v adds."""
+    net = g_net.edge_keys()
+    extra = net[~np.isin(net, g_geo.edge_keys(), assume_unique=True)]
+    return np.bincount(extra // g_net.n, minlength=g_net.n)
+
+
 def expected_merged_edges(
     g_net: ProximityGraph, g_geo: ProximityGraph, tau: float
 ) -> tuple[float, float]:
@@ -129,13 +136,7 @@ def expected_merged_edges(
     |net_v minus geo_v| edges with probability tau, independently; the total
     is geo edges plus a weighted Bernoulli sum.
     """
-    extra = np.array(
-        [
-            len(np.setdiff1d(g_net.out_edges[v], g_geo.out_edges[v], assume_unique=True))
-            for v in range(g_net.n)
-        ],
-        dtype=np.float64,
-    )
+    extra = _extra_edge_counts(g_net, g_geo).astype(np.float64)
     mean = g_geo.edge_count + tau * float(extra.sum())
     var = tau * (1.0 - tau) * float((extra * extra).sum())
     return mean, var
@@ -284,13 +285,7 @@ def best_of_runs(
     )
     config = base.meta["config"]
     g_net, g_geo = base.meta["g_net"], base.meta["g_geo"]
-    extra = np.array(
-        [
-            len(np.setdiff1d(g_net.out_edges[v], g_geo.out_edges[v], assume_unique=True))
-            for v in range(g_net.n)
-        ],
-        dtype=np.int64,
-    )
+    extra = _extra_edge_counts(g_net, g_geo)
     geo_edges = g_geo.edge_count
     sizes = []
     for r in range(config.repeats):

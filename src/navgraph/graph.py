@@ -99,6 +99,20 @@ class ProximityGraph:
             self._csr = (flat, offsets, degrees)
         return self._csr
 
+    def edge_keys(self) -> np.ndarray:
+        """Each edge (v, t) coded as v * n + t, ascending.
+
+        The codes are int32 while n * n fits, which halves the memory of
+        the sorts and set operations done on them.
+        """
+        n = self.n
+        dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+        degrees = [len(r) for r in self.out_edges]
+        keys = np.repeat(np.arange(0, n * n, n, dtype=dtype), degrees)
+        if len(keys):
+            keys += np.concatenate(self.out_edges, dtype=dtype)
+        return keys
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProximityGraph):
             return NotImplemented
@@ -208,10 +222,14 @@ def merge_graphs(g1: ProximityGraph, g2: ProximityGraph) -> ProximityGraph:
     """Per-vertex union of out-edge sets; the order of arguments is immaterial."""
     if g1.n != g2.n:
         raise DomainError(f"cannot merge graphs with n={g1.n} and n={g2.n}")
-    rows = [
-        np.union1d(g1.out_edges[v], g2.out_edges[v]) for v in range(g1.n)
-    ]
-    return ProximityGraph(g1.n, rows, provenance="merged")
+    n = g1.n
+    keys = np.concatenate([g1.edge_keys(), g2.edge_keys()])
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    rows = np.split(keys % n, np.searchsorted(keys, np.arange(1, n) * n))
+    return ProximityGraph(n, rows, provenance="merged")
 
 
 @dataclass(frozen=True)

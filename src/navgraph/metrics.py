@@ -132,6 +132,16 @@ class TreeMetricSpace(MetricSpace):
 
     def distances(self, elements, x) -> np.ndarray:
         vx = self._check_leaf(x)
+        ids = np.asarray(elements)
+        if ids.dtype.kind not in "iu":
+            # non-integer dtype: reject fractional, nan and inf ids up front,
+            # so that int() below cannot truncate one into a valid leaf
+            f = ids.astype(np.float64)
+            whole = np.isfinite(f) & (np.floor(f) == f)
+            if not whole.all():
+                raise DomainError(
+                    f"leaf id {ids[~whole][0].item()!r} outside [0, {self.num_leaves})"
+                )
         num_leaves = self.num_leaves
         out = np.empty(len(elements), dtype=np.float64)
         for i, e in enumerate(elements):

@@ -139,6 +139,20 @@ def test_theta_and_merged_builds(workspace):
     assert load_graph(best).edge_count == min(s for _, s in sizes)
 
 
+def test_theta_build_in_3d_at_the_papers_angle(tmp_path):
+    pts = tmp_path / "pts3.txt"
+    assert run(["gen", "uniform", "--n", 40, "--d", 3, "--seed", 5, "--out", pts]) == 0
+    gt = tmp_path / "gt3.txt"
+    assert run(["build", "theta", "--eps", 1.0, "--in", pts, "--out", gt]) == 0
+    manifest = json.loads((tmp_path / "gt3.txt.manifest.json").read_text())
+    assert manifest["summary"]["cones"] == 162006  # theta = eps/32
+    assert load_graph(gt).n == 40
+    assert (
+        run(["verify", "navigable", "--graph", gt, "--points", pts, "--eps", 1.0])
+        == 0
+    )
+
+
 def test_verify_family_subcommands(tmp_path):
     assert run(["verify", "forced-tree", "--n", 4, "--delta", 8]) == 0
     assert run(["verify", "forced-blocks", "--s", 2, "--t", 1, "--d", 1]) == 0

@@ -99,6 +99,22 @@ def test_tree_rejects_out_of_range_leaf():
         space.distances(np.array([-1, 2]), 1)
 
 
+def test_tree_distances_reject_non_integer_leaf():
+    # the batch path must not truncate 2.5 to leaf 2, which the scalar
+    # path rejects
+    space = TreeMetricSpace(3)
+    with pytest.raises(DomainError):
+        space.distance(2.5, 1)
+    for bad in ([2.5], np.array([0.0, 2.5]), [float("nan")], [float("inf")]):
+        with pytest.raises(DomainError):
+            space.distances(bad, 1)
+    # integral floats name leaves, as in the scalar path
+    assert space.distances(np.array([2.0, 1.0]), 1).tolist() == [
+        space.distance(2, 1),
+        space.distance(1, 1),
+    ]
+
+
 # -- block metric -----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Cone families, theta-graph construction, and the closed-form inequalities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,42 @@ def test_theta_graph_matches_brute_3d():
     pts = uniform_points(25, 3, 4)
     theta = 0.6
     assert build_theta_graph(pts, theta) == build_theta_graph_brute(pts, theta)
+
+
+def lattice(side, d, scale=1.0):
+    grid = itertools.product(range(side), repeat=d)
+    return PointSet(np.array(list(grid), dtype=np.float64) * scale)
+
+
+def assert_same_theta_graph(fast, brute):
+    assert fast == brute
+    for a, b in zip(fast.meta["edge_cones"], brute.meta["edge_cones"]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+@pytest.mark.parametrize("theta", [0.8, 0.4, math.pi / 8, 1.0 / 32.0])
+def test_theta_graph_matches_brute_on_boundary_lattice_2d(theta, scale):
+    # lattice directions along the axes, and at 8 or 16 sectors along the
+    # diagonals, lie on sector boundaries and so in both neighbouring
+    # sectors; at scale 0.1 the boundary dot products round to within an ulp
+    # of zero, and the builder's closed tests must round as cone_contains
+    pts = lattice(6, 2, scale)
+    assert_same_theta_graph(
+        build_theta_graph(pts, theta), build_theta_graph_brute(pts, theta)
+    )
+
+
+@pytest.mark.parametrize("z_stretch", [1.0, 4.0])
+def test_theta_graph_matches_brute_on_boundary_lattice_3d(z_stretch):
+    # x = y = 0 relative vectors sit on the pole, a corner of every cone of
+    # the pole band; (x, 0, z) ones lie on the zero meridian.  Stretched
+    # along z, pole-band cones also hold off-axis targets that the on-axis
+    # one must beat in every cone of the band
+    pts = lattice(3, 3, np.array([1.0, 1.0, z_stretch]))
+    assert_same_theta_graph(
+        build_theta_graph(pts, 0.6), build_theta_graph_brute(pts, 0.6)
+    )
 
 
 def test_theta_graph_out_degree_bounded_by_cone_count():

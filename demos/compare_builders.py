@@ -28,7 +28,7 @@ N, EPS, SEED = 400, 1.0, 42
 
 
 def describe(name, graph, space, pts, queries):
-    degs = [len(r) for r in graph.out_edges]
+    degs = np.diff(graph.offsets)
     witness = check_navigable(graph, space, pts, EPS, queries)
     report = run_query_protocol(
         graph, space, pts, EPS, queries, starts_per_query=5, seed=SEED

@@ -29,7 +29,7 @@ def main():
     print(
         f"hierarchy height {hierarchy.top_level}, "
         f"graph has {graph.edge_count} edges, "
-        f"max out-degree {max(len(r) for r in graph.out_edges)}"
+        f"max out-degree {np.diff(graph.offsets).max()}"
     )
 
     for trial in range(3):

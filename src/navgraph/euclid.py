@@ -108,9 +108,9 @@ def sparsify(g_net: ProximityGraph, jackpots: np.ndarray) -> ProximityGraph:
         raise DomainError("jackpot indices outside the vertex range")
     keep = np.zeros(g_net.n, dtype=bool)
     keep[jackpots] = True
-    empty = np.empty(0, dtype=np.int64)
-    rows = [g_net.out_edges[v] if keep[v] else empty for v in range(g_net.n)]
-    return ProximityGraph(g_net.n, rows, provenance="sampled-net")
+    keys = g_net.edge_keys()
+    keys = keys[keep[keys // g_net.n]]
+    return ProximityGraph.from_codes(g_net.n, keys, "sampled-net")
 
 
 def merged_from_components(

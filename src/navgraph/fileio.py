@@ -106,8 +106,7 @@ def load_graph(path, provenance: str = "custom") -> ProximityGraph:
         if not (0 <= src < n):
             raise DomainError(f"{path}: edge source {src} outside [0, {n})")
         rows[src].append(dst)
-    arrays = [np.array(sorted(r), dtype=np.int64) for r in rows]
-    return ProximityGraph(n, arrays, provenance=provenance)
+    return ProximityGraph(n, [sorted(r) for r in rows], provenance=provenance)
 
 
 def save_trace(path, trace: SearchTrace) -> None:

@@ -10,12 +10,18 @@ construction) stops upon visiting its k-th marked vertex without scanning it.
 ``check_navigable`` is the verification side of the same contract: a graph is
 (1+eps)-navigable for a query iff every vertex either already is a
 (1+eps)-approximate nearest neighbor or has an out-neighbor strictly closer.
+
+A ``ProximityGraph`` stores its adjacency once, as CSR (``flat``,
+``offsets``).  Builders hand it their edges as sorted codes v * n + t
+(``from_codes``); rows from files, tests and the hard instances go through
+the validating constructor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,65 +45,78 @@ PROVENANCE_TAGS = ("net", "theta", "sampled-net", "merged", "custom")
 
 
 class ProximityGraph:
-    """A simple directed graph over point-set indices.
+    """A simple directed graph over point-set indices, stored as one CSR.
 
-    Adjacency is stored per vertex as a sorted, duplicate-free int64 array
-    with no self-loops.  A flat CSR view (``flat``, ``offsets``, ``degrees``)
-    is materialized lazily for the vectorized verifiers.  Graphs are
-    immutable after construction.
+    Vertex v's out-neighbors are ``flat[offsets[v]:offsets[v+1]]``: int64,
+    strictly ascending, in [0, n), never v.  ``flat`` and ``offsets``
+    (length n+1) are read-only and the only copy of the adjacency;
+    ``out_edges`` lists read-only views of the rows, built on first use.
+
+    The constructor validates a sequence of rows.  ``from_codes`` takes the
+    ascending, distinct edge codes v * n + t and checks nothing, since a
+    target >= n would alias into the next row's codes: only builders, whose
+    codes are correct by construction, call it.  Graphs are immutable.
     """
 
     def __init__(self, n: int, out_edges: Sequence, provenance: str = "custom"):
         if n < 1:
             raise DomainError(f"graph needs at least one vertex, got n={n}")
-        if provenance not in PROVENANCE_TAGS:
-            raise DomainError(f"unknown provenance {provenance!r}")
         if len(out_edges) != n:
             raise DomainError(
                 f"adjacency has {len(out_edges)} rows for {n} vertices"
             )
-        rows = []
-        for v, row in enumerate(out_edges):
-            arr = np.asarray(row, dtype=np.int64)
-            if arr.ndim != 1:
-                raise DomainError(f"adjacency row {v} is not 1-D")
-            if arr.size:
-                if (arr < 0).any() or (arr >= n).any():
-                    raise DomainError(f"row {v} has targets outside [0, {n})")
-                if (np.diff(arr) <= 0).any():
-                    raise DomainError(f"row {v} is not strictly sorted")
-                if (arr == v).any():
-                    raise DomainError(f"row {v} contains a self-loop")
-            arr.setflags(write=False)
-            rows.append(arr)
+        rows = [np.asarray(row, dtype=np.int64) for row in out_edges]
+        ndim = np.array([r.ndim for r in rows])
+        if (ndim != 1).any():
+            raise DomainError(f"adjacency row {np.argmax(ndim != 1)} is not 1-D")
+        offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        flat = np.concatenate(rows)
+        # one pass over all rows; the first faulty row is reported
+        row_of = np.repeat(np.arange(n), np.diff(offsets))
+        unsorted = np.zeros(len(flat), dtype=bool)
+        unsorted[1:] = (flat[1:] <= flat[:-1]) & (row_of[1:] == row_of[:-1])
+        faults = (
+            ((flat < 0) | (flat >= n), f"has targets outside [0, {n})"),
+            (unsorted, "is not strictly sorted"),
+            (flat == row_of, "contains a self-loop"),
+        )
+        first = [row_of[bad].min(initial=n) for bad, _ in faults]
+        if min(first) < n:
+            v = min(first)
+            raise DomainError(f"row {v} {faults[first.index(v)][1]}")
+        self._store(n, flat, offsets, provenance)
+
+    @classmethod
+    def from_codes(cls, n: int, codes: np.ndarray, provenance: str) -> ProximityGraph:
+        """The graph of the ascending, distinct edge codes v * n + t, unchecked."""
+        g = cls.__new__(cls)
+        offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
+        g._store(n, (codes % n).astype(np.int64, copy=False), offsets, provenance)
+        return g
+
+    def _store(self, n, flat, offsets, provenance) -> None:
+        if provenance not in PROVENANCE_TAGS:
+            raise DomainError(f"unknown provenance {provenance!r}")
+        flat.setflags(write=False)
+        offsets.setflags(write=False)
         self.n = int(n)
-        self.out_edges = rows
+        self.flat = flat
+        self.offsets = offsets
         self.provenance = provenance
         self.meta: dict = {}  # builder-attached context; not part of equality
-        self._csr: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    @cached_property
+    def out_edges(self) -> list[np.ndarray]:
+        """Vertex v's out-neighbors as a read-only view into ``flat``."""
+        bounds = self.offsets.tolist()
+        return [self.flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
     @property
     def edge_count(self) -> int:
-        return int(sum(len(r) for r in self.out_edges))
+        return int(self.offsets[-1])
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_edges[v])
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(flat targets, offsets of length n+1, degrees), built once."""
-        if self._csr is None:
-            degrees = np.fromiter(
-                (len(r) for r in self.out_edges), dtype=np.int64, count=self.n
-            )
-            offsets = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            flat = (
-                np.concatenate(self.out_edges)
-                if offsets[-1] > 0
-                else np.empty(0, dtype=np.int64)
-            )
-            self._csr = (flat, offsets, degrees)
-        return self._csr
+        return int(self.offsets[v + 1] - self.offsets[v])
 
     def edge_keys(self) -> np.ndarray:
         """Each edge (v, t) coded as v * n + t, ascending.
@@ -107,18 +126,15 @@ class ProximityGraph:
         """
         n = self.n
         dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-        degrees = [len(r) for r in self.out_edges]
-        keys = np.repeat(np.arange(0, n * n, n, dtype=dtype), degrees)
-        if len(keys):
-            keys += np.concatenate(self.out_edges, dtype=dtype)
+        keys = np.repeat(np.arange(0, n * n, n, dtype=dtype), np.diff(self.offsets))
+        keys += self.flat.astype(dtype)
         return keys
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProximityGraph):
             return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b) for a, b in zip(self.out_edges, other.out_edges)
-        )
+        same_rows = self.n == other.n and np.array_equal(self.offsets, other.offsets)
+        return same_rows and np.array_equal(self.flat, other.flat)
 
 
 @dataclass(frozen=True)
@@ -169,6 +185,7 @@ def _greedy_engine(
     computed = 1
     hops = [(current, d_current)]
     jackpots_seen = 0
+    out_edges = graph.out_edges
     while True:
         if jackpot_mask is not None and jackpot_mask[current]:
             jackpots_seen += 1
@@ -176,7 +193,7 @@ def _greedy_engine(
                 return SearchTrace(tuple(hops), computed, "jackpot")
         if budget is not None and computed >= budget:
             return SearchTrace(tuple(hops), computed, "budget")
-        nbrs = graph.out_edges[current]
+        nbrs = out_edges[current]
         if budget is not None and computed + len(nbrs) >= budget:
             # The scan hits the budget at or before its last neighbor; a move
             # would require the complete scan plus spare budget, so stop here.
@@ -222,14 +239,19 @@ def merge_graphs(g1: ProximityGraph, g2: ProximityGraph) -> ProximityGraph:
     """Per-vertex union of out-edge sets; the order of arguments is immaterial."""
     if g1.n != g2.n:
         raise DomainError(f"cannot merge graphs with n={g1.n} and n={g2.n}")
-    n = g1.n
-    keys = np.concatenate([g1.edge_keys(), g2.edge_keys()])
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    rows = np.split(keys % n, np.searchsorted(keys, np.arange(1, n) * n))
-    return ProximityGraph(n, rows, provenance="merged")
+    keys = sorted_distinct(np.concatenate([g1.edge_keys(), g2.edge_keys()]))
+    return ProximityGraph.from_codes(g1.n, keys, "merged")
+
+
+def sorted_distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, ascending; sorts ``codes`` in place.
+
+    Faster than ``np.unique``, which hashes integers first on numpy >= 2.3.
+    """
+    codes.sort()
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    return codes[first]
 
 
 @dataclass(frozen=True)
@@ -242,9 +264,7 @@ class GraphStats:
 
 
 def graph_stats(graph: ProximityGraph) -> GraphStats:
-    degrees = np.fromiter(
-        (len(r) for r in graph.out_edges), dtype=np.int64, count=graph.n
-    )
+    degrees = np.diff(graph.offsets)
     return GraphStats(
         edges=int(degrees.sum()),
         min_out_degree=int(degrees.min()),
@@ -290,7 +310,7 @@ def _check_one_query(
     q,
     qi: int,
 ) -> Optional[NavigabilityWitness]:
-    flat, offsets, _ = graph.csr()
+    flat, offsets = graph.flat, graph.offsets
     row = space.distances(pts.points, q)
     nn_dist = float(row.min())
     threshold = (1.0 + epsilon) * nn_dist
@@ -339,7 +359,6 @@ def check_navigable(
         return None
     from concurrent.futures import ThreadPoolExecutor
 
-    graph.csr()  # materialize before sharing across threads
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = pool.map(
             lambda item: _check_one_query(graph, space, pts, epsilon, item[1], item[0]),

@@ -264,14 +264,19 @@ class ScaledSpace(MetricSpace):
 class PointSet:
     """An indexed sequence of distinct elements of one metric space.
 
-    Euclidean point sets hold a float64 ``(n, d)`` coordinate array; abstract
-    point sets (tree leaves, block element ids) hold an int64 ``(n,)`` array.
+    Euclidean point sets hold a float64 ``(n, d)`` array of finite
+    coordinates; abstract point sets (tree leaves, block element ids) hold an
+    int64 ``(n,)`` array.
     """
 
     def __init__(self, points):
         arr = np.asarray(points)
         if arr.ndim == 2:
             arr = arr.astype(np.float64, copy=False)
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                bad = np.argmin(finite)
+                raise DomainError(f"point {bad} has a non-finite coordinate")
         elif arr.ndim == 1:
             arr = arr.astype(np.int64, copy=False)
         else:
@@ -347,24 +352,16 @@ def brute_force_nn(space: MetricSpace, pts: PointSet, q) -> tuple[int, float]:
     return idx, float(row[idx])
 
 
-def _pairwise_rows(space: MetricSpace, pts: PointSet, block: int = 256):
-    """Yield (start, distance_block) covering the full pairwise matrix."""
-    n = pts.n
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rows = np.empty((stop - start, n), dtype=np.float64)
-        for i in range(start, stop):
-            rows[i - start] = space.distances(pts.points, pts.points[i])
-        yield start, rows
-
-
 def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
-    """Smallest inter-point distance (exact, O(n^2))."""
-    if pts.n < 2:
+    """Smallest inter-point distance (exact, O(n^2)), in blocks of 256 rows."""
+    n = pts.n
+    if n < 2:
         raise DomainError("need at least two points for a minimum distance")
     best = np.inf
-    for start, rows in _pairwise_rows(space, pts):
+    for start in range(0, n, 256):
+        rows = np.empty((min(256, n - start), n), dtype=np.float64)
         for k in range(rows.shape[0]):
+            rows[k] = space.distances(pts.points, pts.points[start + k])
             rows[k, start + k] = np.inf  # mask self
         m = rows.min()
         if m < best:
@@ -393,14 +390,7 @@ def estimate_extremes(space: MetricSpace, pts: PointSet) -> ExtremeEstimate:
         raise DomainError("extreme estimates require at least two points")
     anchor_row = space.distances(pts.points, pts.points[0])
     dmax_hat = 2.0 * float(anchor_row.max())
-    smallest_recorded = np.inf
-    for start, rows in _pairwise_rows(space, pts):
-        for k in range(rows.shape[0]):
-            rows[k, start + k] = np.inf
-        m = rows.min()
-        if m < smallest_recorded:
-            smallest_recorded = float(m)
-    dmin_hat = smallest_recorded / 2.0
+    dmin_hat = pairwise_min_distance(space, pts) / 2.0
     if dmin_hat <= 0:
         raise DomainError("degenerate point set: zero minimum distance")
     return ExtremeEstimate(min_distance=dmin_hat, max_distance=dmax_hat)

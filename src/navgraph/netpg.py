@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ._util import DomainError, ceil_log2
-from .graph import ProximityGraph
+from .graph import ProximityGraph, sorted_distinct
 from .metrics import (
     EuclideanSpace,
     MetricSpace,
@@ -137,7 +137,7 @@ def build_net_pg_naive(
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon, hierarchy)
     n = pts.n
-    per_vertex: list[set[int]] = [set() for _ in range(n)]
+    codes = []
     for level in range(hierarchy.top_level + 1):
         members = hierarchy.members(level)
         member_pts = pts.points[members]
@@ -145,16 +145,15 @@ def build_net_pg_naive(
         for p in range(n):
             row = space.distances(member_pts, pts.points[p])
             hits = members[row <= thr]
-            per_vertex[p].update(int(y) for y in hits if y != p)
-    rows = [np.array(sorted(s), dtype=np.int64) for s in per_vertex]
-    g = ProximityGraph(n, rows, provenance="net")
+            codes.append(p * n + hits[hits != p])
+    g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 
 
 def _level_balls_grid(
     space: EuclideanSpace, pts: PointSet, members: np.ndarray, thr: float
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """All radius-thr balls around every point, via one static grid per level.
 
     Net members are bucketed into cells of side thr; any point within
@@ -164,7 +163,8 @@ def _level_balls_grid(
     batched distance matrix.  The distance arithmetic (difference, square,
     sum over the axis of length d, square root) matches the per-row path
     operation for operation, so the balls are bitwise identical to a linear
-    scan's.  Returns one sorted id array per point, self included.
+    scan's.  Returns the ascending codes p * n + y of every point p and
+    every member y in its ball, p's own code included.
     """
     points = pts.points
     n = len(points)
@@ -180,8 +180,7 @@ def _level_balls_grid(
     for p, key in enumerate(map(tuple, qcells.tolist())):
         groups.setdefault(key, []).append(p)
     offsets = list(iter_product((-1, 0, 1), repeat=dim))
-    empty = np.empty(0, dtype=np.int64)
-    result: list = [empty] * n
+    codes = [np.empty(0, dtype=np.int64)]
     for key, plist in groups.items():
         parts = []
         for off in offsets:
@@ -191,14 +190,15 @@ def _level_balls_grid(
         if not parts:
             continue
         cand = np.concatenate(parts)
-        diff = points[np.array(plist)][:, None, :] - mpts[cand][None, :, :]
+        plist = np.array(plist)
+        diff = points[plist][:, None, :] - mpts[cand][None, :, :]
         if space.norm == "l2":
             dist = np.sqrt(np.sum(diff * diff, axis=2))
         else:
             dist = np.abs(diff).max(axis=2)
-        for row_i, p in enumerate(plist):
-            result[p] = np.sort(members[cand[dist[row_i] <= thr]])
-    return result
+        row, col = np.nonzero(dist <= thr)
+        codes.append(plist[row] * n + members[cand[col]])
+    return np.sort(np.concatenate(codes))
 
 
 def build_net_pg_fast(
@@ -222,15 +222,13 @@ def build_net_pg_fast(
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon, hierarchy)
     n = pts.n
-    per_vertex: list[set[int]] = [set() for _ in range(n)]
+    codes = []
     for level in range(hierarchy.top_level + 1):
         members = hierarchy.members(level)
         thr = _level_threshold(params.reach_factor, level)
         balls = _level_balls_grid(space, pts, members, thr)
-        for p in range(n):
-            per_vertex[p].update(int(y) for y in balls[p] if y != p)
-    rows = [np.array(sorted(s), dtype=np.int64) for s in per_vertex]
-    g = ProximityGraph(n, rows, provenance="net")
+        codes.append(balls[balls // n != balls % n])
+    g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 

@@ -62,7 +62,8 @@ def next_hop_table(graph: ProximityGraph, row: np.ndarray) -> np.ndarray:
     the out-neighbor minimizing the distance (ties to the smallest index, as
     adjacency is sorted) when that minimum strictly improves, else v itself.
     """
-    flat, offsets, degrees = graph.csr()
+    flat, offsets = graph.flat, graph.offsets
+    degrees = np.diff(offsets)
     n = graph.n
     nxt = np.arange(n, dtype=np.int64)
     if len(flat) == 0:

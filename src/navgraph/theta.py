@@ -79,24 +79,11 @@ class ConeFamily:
     theta: float
     cones: tuple[Cone, ...]
     rays: np.ndarray  # (k, d) stacked designated rays
-    #: d=2 only: inward normal of each sector's lower boundary, indexed so
-    #: sector j is {x : boundary_normals[j] @ x >= 0 and
-    #: boundary_normals[(j+1) % k] @ x <= 0}
-    boundary_normals: Optional[np.ndarray] = None
     #: (k, m, d) per-cone halfspace normals, each cone's ``normals`` stacked
     normals_stacked: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return len(self.cones)
-
-    def membership(self, rel: np.ndarray) -> np.ndarray:
-        """Boolean (len(rel), k) matrix: which cones contain each vector."""
-        if self.dimension == 2:
-            t = rel @ self.boundary_normals.T
-            return (t >= 0.0) & (np.roll(t, -1, axis=1) <= 0.0)
-        flat = self.normals_stacked.reshape(-1, 3)  # (3k, 3)
-        t = rel @ flat.T
-        return (t.reshape(len(rel), -1, 3) >= 0.0).all(axis=2)
 
 
 def _build_sectors(theta: float) -> ConeFamily:
@@ -116,7 +103,6 @@ def _build_sectors(theta: float) -> ConeFamily:
         theta=float(theta),
         cones=tuple(Cone(normals=nm, ray=ray) for nm, ray in zip(normals, rays)),
         rays=rays,
-        boundary_normals=boundary,
         normals_stacked=normals,
     )
 
@@ -344,9 +330,10 @@ def build_theta_graph(
 ) -> ProximityGraph:
     """One edge per vertex per non-empty translated cone.
 
-    ``meta`` carries the cone family and, aligned with each adjacency row,
-    the smallest cone id that produced each edge.  ``family`` must come from
-    ``build_cone_family``: cones are looked up on its grid.
+    ``meta`` carries the cone family and, in ``edge_cones``, the smallest
+    cone id that produced each edge, aligned with the graph's ``flat``.
+    ``family`` must come from ``build_cone_family``: cones are looked up on
+    its grid.
 
     Apexes go in blocks of about ``_PAIR_BUDGET`` (apex, target) pairs.  The
     cones holding each pair's relative vector are found from its angles:
@@ -369,8 +356,8 @@ def build_theta_graph(
     n, k = pts.n, len(family)
     p_all = pts.points
     block = max(1, _PAIR_BUDGET // n)
-    rows = []
-    cone_rows = []
+    codes = []
+    cones = []
     for lo in range(0, n, block):
         n_apex = min(block, n - lo)
         rel = p_all[None, :, :] - p_all[lo : lo + n_apex, None, :]
@@ -395,11 +382,11 @@ def build_theta_graph(
         won = group[first]  # apex offset * k + cone, ascending
         # an edge won in several cones keeps the smallest cone id
         edge, at = np.unique((won // k) * n + key[first] % n, return_index=True)
-        bounds = np.searchsorted(edge, np.arange(1, n_apex) * n)
-        rows.extend(np.split(edge % n, bounds))
-        cone_rows.extend(np.split(won[at] % k, bounds))
-    g = ProximityGraph(n, rows, provenance="theta")
-    g.meta = {"family": family, "theta": float(theta), "edge_cones": cone_rows}
+        codes.append(lo * n + edge)
+        cones.append(won[at] % k)
+    g = ProximityGraph.from_codes(n, np.concatenate(codes), "theta")
+    edge_cones = np.concatenate(cones)
+    g.meta = {"family": family, "theta": float(theta), "edge_cones": edge_cones}
     return g
 
 
@@ -410,7 +397,7 @@ def build_theta_graph_brute(
     if family is None:
         family = build_cone_family(pts.dim, theta)
     rows = []
-    cone_rows = []
+    edge_cones = []
     for p in range(pts.n):
         chosen: dict[int, int] = {}
         for cone_id in range(len(family)):
@@ -419,9 +406,10 @@ def build_theta_graph_brute(
                 chosen[t] = cone_id
         order = sorted(chosen)
         rows.append(np.array(order, dtype=np.int64))
-        cone_rows.append(np.array([chosen[t] for t in order], dtype=np.int64))
+        edge_cones.extend(chosen[t] for t in order)
     g = ProximityGraph(pts.n, rows, provenance="theta")
-    g.meta = {"family": family, "theta": float(theta), "edge_cones": cone_rows}
+    edge_cones = np.array(edge_cones, dtype=np.int64)
+    g.meta = {"family": family, "theta": float(theta), "edge_cones": edge_cones}
     return g
 
 

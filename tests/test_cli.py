@@ -114,6 +114,15 @@ def test_usage_errors_exit_two(workspace, capsys):
     assert run(["build", "net", "--eps", 1.0, "--in", tmp / "nope.txt", "--out", graph]) == 2
 
 
+def test_non_finite_points_exit_two(tmp_path, capsys):
+    pts = tmp_path / "nan.txt"
+    pts.write_text("2 3\n0 0\n1 nan\n3 1\n")
+    graph = tmp_path / "g.txt"
+    assert run(["build", "net", "--eps", 1.0, "--in", pts, "--out", graph]) == 2
+    assert "point 1 has a non-finite coordinate" in capsys.readouterr().err
+    assert not graph.exists()
+
+
 def test_theta_and_merged_builds(workspace):
     tmp, pts = workspace
     gt = tmp / "gt.txt"

@@ -101,6 +101,12 @@ def test_load_graph_rejects_out_of_range(tmp_path):
     bad.write_text("2 2\n0 1\n")  # fewer edges than declared
     with pytest.raises(DomainError):
         load_graph(bad)
+    bad.write_text("3 3\n0 1\n1 2\n1 2\n")  # a duplicated edge line
+    with pytest.raises(DomainError, match="row 1 is not strictly sorted"):
+        load_graph(bad)
+    bad.write_text("3 2\n0 1\n2 2\n")  # a self-loop
+    with pytest.raises(DomainError, match="row 2 contains a self-loop"):
+        load_graph(bad)
 
 
 def test_comments_and_blanks_ignored(tmp_path):

@@ -30,16 +30,45 @@ def line_instance():
 
 
 def test_graph_validation():
-    with pytest.raises(DomainError):
-        ProximityGraph(2, [[1]])  # wrong row count
-    with pytest.raises(DomainError):
-        ProximityGraph(2, [[0], []])  # self-loop
-    with pytest.raises(DomainError):
-        ProximityGraph(2, [[1, 1], []])  # duplicate / not strictly sorted
-    with pytest.raises(DomainError):
-        ProximityGraph(2, [[2], []])  # out of range
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="2 rows for 3 vertices"):
+        ProximityGraph(3, [[1], []])
+    with pytest.raises(DomainError, match="row 2 contains a self-loop"):
+        ProximityGraph(3, [[1], [], [2]])
+    with pytest.raises(DomainError, match="row 1 is not strictly sorted"):
+        ProximityGraph(3, [[1], [0, 0], []])  # duplicate
+    with pytest.raises(DomainError, match="row 0 is not strictly sorted"):
+        ProximityGraph(3, [[2, 1], [], []])
+    with pytest.raises(DomainError, match=r"row 1 has targets outside \[0, 3\)"):
+        ProximityGraph(3, [[1], [3], []])
+    with pytest.raises(DomainError, match=r"row 2 has targets outside \[0, 3\)"):
+        ProximityGraph(3, [[], [], [-1]])
+    with pytest.raises(DomainError, match="adjacency row 1 is not 1-D"):
+        ProximityGraph(3, [[1], [[0, 2]], []])
+    with pytest.raises(DomainError, match="adjacency row 0 is not 1-D"):
+        ProximityGraph(3, [1, [], []])
+    with pytest.raises(DomainError, match="unknown provenance"):
         ProximityGraph(2, [[1], []], provenance="mystery")
+    # the first faulty row is named, whatever its fault
+    with pytest.raises(DomainError, match="row 0 contains a self-loop"):
+        ProximityGraph(3, [[0], [5], []])
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rows_and_edge_codes_build_the_same_graph(n, data):
+    rows = [
+        sorted(data.draw(st.sets(st.integers(0, n - 1).filter(lambda t, v=v: t != v))))
+        for v in range(n)
+    ]
+    g = ProximityGraph(n, rows)
+    codes = np.array([v * n + t for v, row in enumerate(rows) for t in row], dtype=np.int64)
+    assert g == ProximityGraph.from_codes(n, codes, "custom")
+    assert [r.tolist() for r in g.out_edges] == rows
+    assert g.edge_count == len(codes)
+    keys = g.edge_keys()
+    assert (np.diff(keys) > 0).all()
+    assert np.array_equal(keys, codes)
+    assert not g.flat.flags.writeable and not g.out_edges[0].flags.writeable
 
 
 def test_graph_equality_ignores_meta():

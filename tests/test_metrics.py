@@ -187,6 +187,14 @@ def test_pointset_rejects_duplicates_and_locks():
         pts.points[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pointset_rejects_non_finite_coordinates(bad):
+    coords = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+    coords[1, 1] = bad
+    with pytest.raises(DomainError, match="point 1 has a non-finite coordinate"):
+        PointSet(coords)
+
+
 def test_pointset_abstract_flag():
     # 2-D arrays are coordinates, 1-D arrays are element ids
     assert PointSet(np.arange(4)[:, None]).is_abstract is False

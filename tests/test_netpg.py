@@ -102,10 +102,12 @@ def test_batched_collector_matches_linear_scan():
     space, pts = normalized_instance(70, 2, 9)
     members = np.arange(0, 70, 3, dtype=np.int64)
     thr = 9.0
-    balls = _level_balls_grid(space, pts, members, thr)
+    codes = _level_balls_grid(space, pts, members, thr)
+    assert (np.diff(codes) > 0).all()
     for p in range(pts.n):
         row = space.distances(pts.points[members], pts.points[p])
-        assert np.array_equal(balls[p], members[row <= thr]), p
+        ball = codes[codes // pts.n == p] % pts.n
+        assert np.array_equal(ball, members[row <= thr]), p
 
 
 def test_edge_rule_direct_quantifier_check():

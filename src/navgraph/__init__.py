@@ -91,13 +91,7 @@ from .nets import (
     greedy_r_net,
     verify_r_net,
 )
-from .protocol import (
-    ProtocolReport,
-    next_hop_table,
-    run_query_protocol,
-    standard_query_set,
-    walk,
-)
+from .protocol import ProtocolReport, run_query_protocol, standard_query_set
 from .theta import (
     Cone,
     ConeFamily,

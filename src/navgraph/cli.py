@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -60,14 +59,6 @@ from .theta import (
 )
 
 __all__ = ["main"]
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("NAVGRAPH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_manifest(out, command, parameters, seeds, inputs, outputs, t0, summary):
@@ -549,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_nav.add_argument("--seed", type=int, default=0)
     v_nav.add_argument("--n-random", type=int, default=1000)
     v_nav.add_argument("--n-perturbed", type=int, default=500)
-    v_nav.add_argument("--threads", type=int, default=_default_threads())
+    v_nav.add_argument("--threads", type=int, default=1)
     _add_metric_flags(v_nav)
     v_nav.set_defaults(func=cmd_verify_navigable)
 

@@ -24,13 +24,14 @@ from ._util import DomainError, ceil_log2
 from .graph import (
     ProximityGraph,
     SearchTrace,
+    _check_query_distance,
+    _check_query_shape,
     _greedy_engine,
     merge_graphs,
 )
 from .metrics import EuclideanSpace, MetricSpace, PointSet
 from .netpg import build_net_pg_fast, normalize
 from .nets import build_net_hierarchy
-from .protocol import next_hop_table, walk
 from .theta import build_theta_graph
 
 __all__ = [
@@ -248,11 +249,12 @@ def jackpot_condition_check(
     length = max(1, math.ceil(math.log(n) * math.log2(max(aspect_ratio, 2.0))))
     mask = np.zeros(n, dtype=bool)
     mask[np.asarray(jackpots, dtype=np.int64)] = True
+    _check_query_shape(pts, q)
     row = space.distances(pts.points, q)
-    nxt = next_hop_table(g_geo, row)
+    _check_query_distance(float(row.min()))
     for p in range(n):
-        path = walk(nxt, p)
-        if len(path) >= length and not mask[np.asarray(path[:length])].any():
+        path = _greedy_engine(g_geo, space, pts, p, q, row=row).vertices
+        if len(path) >= length and not mask[path[:length]].any():
             return False
     return True
 

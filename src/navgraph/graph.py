@@ -6,6 +6,10 @@ one (ties to the smallest index), and stop when none is strictly closer.  The
 budgeted variant stops as soon as a fixed number of distance computations has
 been spent; the jackpot-capped variant (used by the sampled Euclidean
 construction) stops upon visiting its k-th marked vertex without scanning it.
+The batch protocol and the jackpot condition walk through the same engine,
+fed a precomputed distance row.  Every routing entry checks its query once:
+it must have the shape of one point and a finite distance to the points,
+else ``DomainError``.
 
 ``check_navigable`` is the verification side of the same contract: a graph is
 (1+eps)-navigable for a query iff every vertex either already is a
@@ -19,6 +23,7 @@ the validating constructor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -166,6 +171,27 @@ class SearchTrace:
         return [v for v, _ in self.hops]
 
 
+def _check_query_shape(pts: PointSet, q) -> None:
+    """A query must have the shape of one element of the point set."""
+    if isinstance(q, np.ndarray):
+        shape = q.shape
+    else:  # np.shape takes 2 us on an int, a tenth of a tree-metric query
+        shape = () if isinstance(q, (int, float, np.generic)) else np.shape(q)
+    if shape != pts.points.shape[1:]:
+        raise DomainError(
+            f"query has shape {shape}, points have shape {pts.points.shape[1:]}"
+        )
+
+
+def _check_query_distance(d: float) -> None:
+    """A non-finite query makes every distance to it non-finite."""
+    if not math.isfinite(d):
+        raise DomainError(
+            f"query distance is {d}: the query has a non-finite coordinate "
+            "or its distances overflow"
+        )
+
+
 def _greedy_engine(
     graph: ProximityGraph,
     space: MetricSpace,
@@ -175,13 +201,26 @@ def _greedy_engine(
     budget: Optional[int] = None,
     jackpot_mask: Optional[np.ndarray] = None,
     jackpot_cap: Optional[int] = None,
+    row: Optional[np.ndarray] = None,
 ) -> SearchTrace:
+    """The greedy step rule, the only one in the package.
+
+    Without ``row`` the engine validates q and computes each hop's distances.
+    A caller routing q from many starts validates it once and passes ``row``,
+    every point's distance to q as ``space.distances`` gives it; each hop then
+    reads ``row[nbrs]``, and the trace, cost included, is the same.
+    """
     if not (0 <= start < graph.n):
         raise DomainError(f"start {start} outside [0, {graph.n})")
     if budget is not None and budget < 1:
         raise DomainError(f"distance budget must be >= 1, got {budget}")
     current = int(start)
-    d_current = float(space.distances(pts.points[current : current + 1], q)[0])
+    if row is None:
+        _check_query_shape(pts, q)
+        d_current = float(space.distances(pts.points[current : current + 1], q)[0])
+        _check_query_distance(d_current)
+    else:
+        d_current = float(row[current])
     computed = 1
     hops = [(current, d_current)]
     jackpots_seen = 0
@@ -201,12 +240,15 @@ def _greedy_engine(
             return SearchTrace(tuple(hops), computed, "budget")
         if len(nbrs) == 0:
             return SearchTrace(tuple(hops), computed, "self")
-        row = space.distances(pts.points[nbrs], q)
+        if row is None:
+            dists = space.distances(pts.points[nbrs], q)
+        else:
+            dists = row[nbrs]
         computed += len(nbrs)
-        k = int(np.argmin(row))  # first min = smallest index (nbrs sorted)
-        if row[k] < d_current:
+        k = int(np.argmin(dists))  # first min = smallest index (nbrs sorted)
+        if dists[k] < d_current:
             current = int(nbrs[k])
-            d_current = float(row[k])
+            d_current = float(dists[k])
             hops.append((current, d_current))
         else:
             return SearchTrace(tuple(hops), computed, "self")
@@ -311,8 +353,10 @@ def _check_one_query(
     qi: int,
 ) -> Optional[NavigabilityWitness]:
     flat, offsets = graph.flat, graph.offsets
+    _check_query_shape(pts, q)
     row = space.distances(pts.points, q)
     nn_dist = float(row.min())
+    _check_query_distance(nn_dist)
     threshold = (1.0 + epsilon) * nn_dist
     best_nbr = segment_min(row[flat], offsets) if len(flat) else np.full(graph.n, np.inf)
     ok = (row <= threshold) | (best_nbr < row)
@@ -343,8 +387,9 @@ def check_navigable(
     p* the exact nearest neighbor of q, or some out-neighbor of p is strictly
     closer to q.  Returns None on a full pass, otherwise the first witness in
     (query, vertex) scan order.  Queries must come from the space's universe;
-    they need not belong to the point set.  Safe for concurrent use; with
-    threads > 1 the per-query work is spread over a thread pool.
+    they need not belong to the point set, but a query of the wrong shape or
+    at a non-finite distance raises ``DomainError``.  Safe for concurrent
+    use; with threads > 1 the per-query work is spread over a thread pool.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")

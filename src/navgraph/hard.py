@@ -198,11 +198,24 @@ def _complete_rows(m: int) -> list:
     return [np.delete(all_idx, i) for i in range(m)]
 
 
-def _stuck_at_start(
-    graph: ProximityGraph, space, pts: PointSet, start: int, q
-) -> bool:
-    trace = greedy_search(graph, space, pts, start, q)
-    return trace.terminated == "self" and len(trace.hops) == 1 and trace.final == start
+def _forced_edge_failure(
+    space, pts: PointSet, row: np.ndarray, complete: list, start: int, target: int, q
+) -> Optional[str]:
+    """Why the edge (start, target) is not certified forced for q, or None.
+
+    ``row`` holds every point's distance to q, ``complete`` the rows of the
+    complete graph.  Greedy from ``start`` must be stuck without the edge, by
+    direct quantification and by a literal run; the two must agree.
+    """
+    m = len(row)
+    direct = bool((np.delete(row, [start, target]) >= row[start]).all())
+    rows = list(complete)
+    rows[start] = np.delete(np.arange(m, dtype=np.int64), [start, target])
+    trace = greedy_search(ProximityGraph(m, rows), space, pts, start, q)
+    literal = trace.terminated == "self" and len(trace.hops) == 1
+    if literal != direct:
+        return "routes disagree"
+    return None if literal else "not stuck"
 
 
 def verify_forced_edges_tree(instance: TreeInstance) -> ForcedEdgeReport:
@@ -216,31 +229,22 @@ def verify_forced_edges_tree(instance: TreeInstance) -> ForcedEdgeReport:
     mandatory for any graph claiming greedy reachability.
     """
     ids = instance.points.points
-    m = len(ids)
     index_of = {int(v): i for i, v in enumerate(ids)}
-    base_rows = _complete_rows(m)
-    all_idx = np.arange(m, dtype=np.int64)
+    complete = _complete_rows(len(ids))
     space, pts = instance.space, instance.points
     expected = len(instance.subtree_leaves) * len(instance.path_leaves)
     certified = 0
     failures = []
     for v2 in instance.path_leaves:
-        i2 = index_of[int(v2)]
         row = space.distances(ids, int(v2))
         for v1 in instance.subtree_leaves:
-            i1 = index_of[int(v1)]
-            others = np.delete(row, [i1, i2])
-            direct = bool((others >= row[i1]).all())
-            rows = list(base_rows)
-            rows[i1] = np.delete(all_idx, [i1, i2])
-            pruned = ProximityGraph(m, rows)
-            literal = _stuck_at_start(pruned, space, pts, i1, int(v2))
-            if literal != direct:
-                failures.append((int(v1), int(v2), "routes disagree"))
-            elif literal:
+            failure = _forced_edge_failure(
+                space, pts, row, complete, index_of[int(v1)], index_of[int(v2)], int(v2)
+            )
+            if failure is None:
                 certified += 1
             else:
-                failures.append((int(v1), int(v2), "not stuck"))
+                failures.append((int(v1), int(v2), failure))
     return ForcedEdgeReport(expected, certified, tuple(failures))
 
 
@@ -258,7 +262,7 @@ def verify_forced_edges_blocks(instance: BlockInstance) -> ForcedEdgeReport:
     eps = instance.epsilon
     pts = instance.points
     ids = np.arange(n, dtype=np.int64)
-    base_rows = _complete_rows(n)
+    complete = _complete_rows(n)
     expected = instance.copies * bs * (bs - 1)
     certified = 0
     failures = []
@@ -271,20 +275,13 @@ def verify_forced_edges_blocks(instance: BlockInstance) -> ForcedEdgeReport:
             if p1 == p2:
                 continue
             if not row[p1] > (1.0 + eps) * row[p2]:
-                failures.append((p1, p2, "start is an approximate answer"))
-                continue
-            others = np.delete(row, [p1, p2])
-            direct = bool((others >= row[p1]).all())
-            rows = list(base_rows)
-            rows[p1] = np.delete(ids, [p1, p2])
-            pruned = ProximityGraph(n, rows)
-            literal = _stuck_at_start(pruned, space, pts, p1, q)
-            if literal != direct:
-                failures.append((p1, p2, "routes disagree"))
-            elif literal:
+                failure = "start is an approximate answer"
+            else:
+                failure = _forced_edge_failure(space, pts, row, complete, p1, p2, q)
+            if failure is None:
                 certified += 1
             else:
-                failures.append((p1, p2, "not stuck"))
+                failures.append((p1, p2, failure))
     return ForcedEdgeReport(expected, certified, tuple(failures))
 
 

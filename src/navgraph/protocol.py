@@ -1,11 +1,10 @@
 """Batch greedy-routing protocol: many queries, many starts, trace laws.
 
-``greedy_search`` visits one vertex at a time; running it for thousands of
-(query, start) pairs is dominated by per-hop distance calls.  This module
-computes, per query, a single distance row and a next-hop table (the greedy
-successor of every vertex at once), after which each start costs one pointer
-chase.  The table agrees with ``greedy_search`` exactly: same improvement
-rule, same smallest-index tie-break; the equivalence is property-tested.
+Per query the protocol computes one distance row, which also gives the
+brute-force nearest neighbor, and routes every start through the greedy
+engine fed that row: each hop reads its out-neighbors' distances from the row
+instead of computing them.  The walks are ``greedy_search``'s traces exactly;
+the equivalence is property-tested.
 
 On top of the walks it checks the trace laws of the net-hierarchy graph: the
 first hop that is a (1+eps)-approximate nearest neighbor appears within the
@@ -21,13 +20,16 @@ from typing import Optional
 import numpy as np
 
 from ._util import DomainError, ceil_log2
-from .graph import ProximityGraph, segment_min
+from .graph import (
+    ProximityGraph,
+    _check_query_distance,
+    _check_query_shape,
+    _greedy_engine,
+)
 from .metrics import MetricSpace, PointSet
 
 __all__ = [
     "standard_query_set",
-    "next_hop_table",
-    "walk",
     "ProtocolReport",
     "run_query_protocol",
 ]
@@ -53,45 +55,6 @@ def standard_query_set(
     picks = rng.integers(0, pts.n, size=n_perturbed)
     noise = rng.normal(0.0, epsilon * min_distance, size=(n_perturbed, p.shape[1]))
     return np.vstack([p, random_qs, p[picks] + noise])
-
-
-def next_hop_table(graph: ProximityGraph, row: np.ndarray) -> np.ndarray:
-    """Greedy successor of every vertex for the query behind ``row``.
-
-    ``row[v]`` is the distance from point v to the query.  The successor is
-    the out-neighbor minimizing the distance (ties to the smallest index, as
-    adjacency is sorted) when that minimum strictly improves, else v itself.
-    """
-    flat, offsets = graph.flat, graph.offsets
-    degrees = np.diff(offsets)
-    n = graph.n
-    nxt = np.arange(n, dtype=np.int64)
-    if len(flat) == 0:
-        return nxt
-    gathered = row[flat]
-    segmin = segment_min(gathered, offsets)
-    seg_of = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    sentinel = len(flat)
-    cand = np.where(gathered == segmin[seg_of], np.arange(sentinel), sentinel)
-    nonempty = degrees > 0
-    firsts = np.full(n, sentinel, dtype=np.int64)
-    firsts[nonempty] = np.minimum.reduceat(cand, offsets[:-1][nonempty])
-    move = segmin < row
-    nxt[move] = flat[firsts[move]]
-    return nxt
-
-
-def walk(next_table: np.ndarray, start: int) -> list[int]:
-    """Chase greedy successors from ``start`` until a fixed point."""
-    path = [int(start)]
-    v = int(start)
-    for _ in range(len(next_table)):
-        w = int(next_table[v])
-        if w == v:
-            return path
-        path.append(w)
-        v = w
-    raise RuntimeError("next-hop walk did not terminate; table admits a cycle")
 
 
 @dataclass
@@ -135,9 +98,10 @@ def run_query_protocol(
     """Route every query from several random starts and check the outcomes.
 
     Every walk must end at a (1+eps)-approximate nearest neighbor of its
-    query; failures are collected, never raised.  With ``first_ann_limit``
-    and ``check_log_drop`` the net-graph trace laws are verified per walk
-    against the brute-force nearest neighbor.
+    query; failures are collected, never raised, while a query of the wrong
+    shape or at a non-finite distance raises ``DomainError``.  With
+    ``first_ann_limit`` and ``check_log_drop`` the net-graph trace laws are
+    verified per walk against the brute-force nearest neighbor.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -151,14 +115,17 @@ def run_query_protocol(
         first_ann_limit=first_ann_limit,
     )
     for qi, q in enumerate(queries):
+        _check_query_shape(pts, q)
         row = space.distances(pts.points, q)
         p_star = int(np.argmin(row))
+        _check_query_distance(float(row[p_star]))
         threshold = (1.0 + epsilon) * float(row[p_star])
-        nxt = next_hop_table(graph, row)
         starts = rng.integers(0, graph.n, size=starts_per_query)
-        paths = [walk(nxt, int(s)) for s in starts]
-        need_pstar_rows = check_log_drop
-        if need_pstar_rows:
+        paths = [
+            _greedy_engine(graph, space, pts, int(s), q, row=row).vertices
+            for s in starts
+        ]
+        if check_log_drop:
             touched = np.unique(np.concatenate([np.asarray(p) for p in paths]))
             d_pstar = dict(
                 zip(

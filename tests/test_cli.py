@@ -123,6 +123,14 @@ def test_non_finite_points_exit_two(tmp_path, capsys):
     assert not graph.exists()
 
 
+def test_non_finite_query_exits_two(workspace, capsys):
+    tmp, pts = workspace
+    graph = tmp / "g.txt"
+    assert run(["build", "net", "--eps", 1.0, "--in", pts, "--out", graph]) == 0
+    assert run(["query", "--graph", graph, "--points", pts, "--q", "nan 0.5"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_theta_and_merged_builds(workspace):
     tmp, pts = workspace
     gt = tmp / "gt.txt"

@@ -11,10 +11,14 @@ from navgraph import (
     PointSet,
     ProximityGraph,
     budgeted_query,
+    build_net_pg_fast,
     check_navigable,
     graph_stats,
     greedy_search,
+    jackpot_condition_check,
+    jackpot_query,
     merge_graphs,
+    run_query_protocol,
     segment_min,
 )
 from conftest import uniform_points
@@ -224,3 +228,30 @@ def test_greedy_distance_strictly_decreases(seed):
     trace = greedy_search(g, EuclideanSpace(2), pts, int(rng.integers(n)), q)
     dists = [d for _, d in trace.hops]
     assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+@pytest.mark.parametrize(
+    "q, problem",
+    [
+        ([1.0], "shape"),  # used to broadcast silently; the check passed
+        ([1.0, 2.0, 3.0], "shape"),  # used to raise numpy's broadcast error
+        ([np.nan, 1.0], "non-finite"),  # used to answer the start / a NaN witness
+        ([np.inf, 0.0], "non-finite"),  # used to pass the check and the protocol
+    ],
+    ids=["one-coordinate", "three-coordinates", "nan", "inf"],
+)
+def test_routing_entries_reject_out_of_domain_query(small_instance, q, problem):
+    space, pts = small_instance
+    g = build_net_pg_fast(space, pts, 1.0)
+    entries = [
+        lambda: greedy_search(g, space, pts, 0, q),
+        lambda: budgeted_query(g, space, pts, 0, q, 5),
+        lambda: jackpot_query(g, space, pts, 0, q, [1, 2], 8.0),
+        lambda: check_navigable(g, space, pts, 1.0, [q]),
+        lambda: check_navigable(g, space, pts, 1.0, [pts.points[0], q], threads=2),
+        lambda: run_query_protocol(g, space, pts, 1.0, [q], starts_per_query=2),
+        lambda: jackpot_condition_check(g, space, pts, q, [1, 2], 8.0),
+    ]
+    for entry in entries:
+        with pytest.raises(DomainError, match=problem):
+            entry()

@@ -1,4 +1,5 @@
-"""Vectorized routing protocol vs the one-hop-at-a-time reference walker."""
+"""Batch routing protocol: its row-fed walks against ``greedy_search``, and the
+trace-law and failure reports."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from navgraph import (
     ProximityGraph,
     build_net_pg_fast,
     greedy_search,
-    next_hop_table,
     run_query_protocol,
     standard_query_set,
-    walk,
 )
+from navgraph.graph import _greedy_engine
 from conftest import normalized_instance, uniform_points
 
 
@@ -36,8 +36,9 @@ def test_standard_query_set_composition():
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_next_hop_table_matches_greedy_search(seed):
-    # dual route: the table must reproduce greedy_search hop for hop
+def test_row_fed_engine_matches_greedy_search(seed):
+    # dual route: the engine fed the query's distance row must reproduce
+    # greedy_search's whole trace, hops, cost and termination included
     rng = np.random.default_rng(seed)
     n = 30
     space = EuclideanSpace(2)
@@ -47,16 +48,9 @@ def test_next_hop_table_matches_greedy_search(seed):
     g = ProximityGraph(n, rows)
     q = rng.random(2)
     row = space.distances(pts.points, q)
-    nxt = next_hop_table(g, row)
     for start in range(0, n, 7):
         trace = greedy_search(g, space, pts, start, q)
-        assert walk(nxt, start) == trace.vertices
-
-
-def test_walk_detects_cycles():
-    nxt = np.array([1, 0])
-    with pytest.raises(RuntimeError):
-        walk(nxt, 0)
+        assert _greedy_engine(g, space, pts, start, q, row=row) == trace
 
 
 def test_protocol_passes_on_net_graph():

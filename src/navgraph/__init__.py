@@ -93,7 +93,6 @@ from .nets import (
 )
 from .protocol import ProtocolReport, run_query_protocol, standard_query_set
 from .theta import (
-    Cone,
     ConeFamily,
     build_cone_family,
     build_theta_graph,

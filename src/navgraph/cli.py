@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import DomainError
-from .euclid import best_of_runs, build_euclid_pg
+from .euclid import build_euclid_pg
 from .fileio import (
     file_digest,
     load_graph,
@@ -151,10 +151,9 @@ def _build_graph(algo, pts, space, eps, z, seed, repeats):
         }
         return g, summary
     if algo == "merged":
-        if repeats is not None and repeats > 1:
-            g = best_of_runs(pts, eps, rate_constant=z, seed=seed, repeats=repeats)
-        else:
-            g = build_euclid_pg(pts, eps, rate_constant=z, seed=seed, repeats=repeats)
+        g = build_euclid_pg(
+            pts, eps, space=space, rate_constant=z, seed=seed, repeats=repeats
+        )
         summary = {
             "edges": g.edge_count,
             "tau": g.meta["config"].keep_probability,
@@ -162,10 +161,9 @@ def _build_graph(algo, pts, space, eps, z, seed, repeats):
             "aspect_ratio": g.meta["aspect_ratio"],
             "net_edges": g.meta["g_net"].edge_count,
             "geo_edges": g.meta["g_geo"].edge_count,
+            "run_sizes": [[s, e] for s, e in g.meta["run_sizes"]],
+            "chosen_seed": g.meta["config"].seed,
         }
-        if "run_sizes" in g.meta:
-            summary["run_sizes"] = [[s, e] for s, e in g.meta["run_sizes"]]
-            summary["chosen_seed"] = g.meta["config"].seed
         return g, summary
     raise DomainError(f"unknown algorithm {algo!r}")
 
@@ -426,7 +424,7 @@ def cmd_bench(args) -> int:
         starts = qrng.integers(0, n, size=args.queries)
         for algo in algos:
             b0 = time.perf_counter()
-            g, _ = _build_graph(algo, pts, space, args.eps, args.z, args.seed, None)
+            g, _ = _build_graph(algo, pts, space, args.eps, args.z, args.seed, 1)
             build_ms = (time.perf_counter() - b0) * 1000.0
             hops = np.empty(args.queries, dtype=np.int64)
             comps = np.empty(args.queries, dtype=np.int64)
@@ -515,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", required=True)
     build.add_argument("--z", type=float, default=4.0)
     build.add_argument("--seed", type=int, default=0)
-    build.add_argument("--repeats", type=int, default=None)
+    build.add_argument("--repeats", type=int, default=1)
     _add_metric_flags(build)
     build.set_defaults(func=cmd_build)
 

@@ -7,6 +7,12 @@ the merge (1+epsilon)-navigable; the surviving net edges exist to shortcut
 long theta-graph walks, which the jackpot-capped query procedure exploits by
 stopping after a fixed number of jackpot visits.
 
+``build_euclid_pg`` is the one merged builder.  It builds the deterministic
+components once (normalisation, hierarchy, net graph, theta-graph), sizes
+``repeats`` consecutively seeded draws from the per-vertex extra-edge counts,
+and merges only the smallest; ``best_of_runs`` is that build with the number
+of draws derived from n.
+
 Randomness contract: jackpots are drawn as ``default_rng(seed).random(n) <
 tau`` (numpy PCG64), so every sampled artifact is reproducible from (seed,
 tau, n) alone.
@@ -54,7 +60,7 @@ class SampleConfig:
 
     ``rate_constant`` scales the keep probability (tau = min(1,
     rate_constant / log2(aspect ratio))); ``repeats`` is how many
-    independently-seeded runs a best-of-runs sweep performs.
+    consecutively seeded draws a build sizes before merging the smallest.
     """
 
     rate_constant: float
@@ -146,20 +152,23 @@ def expected_merged_edges(
 def build_euclid_pg(
     pts: PointSet,
     epsilon: float,
-    config: Optional[SampleConfig] = None,
     space: Optional[MetricSpace] = None,
     rate_constant: float = 4.0,
     seed: int = 0,
-    repeats: Optional[int] = None,
+    repeats: Optional[int] = 1,
 ) -> ProximityGraph:
-    """Merged proximity graph for Euclidean points in d in {2, 3}.
+    """Smallest merged proximity graph over ``repeats`` draws, d in {2, 3}.
 
     Input is normalized internally (edge choices are scale-covariant, so the
-    output graph is valid for the raw coordinates).  ``meta`` records the
-    normalized points and space, both components, the jackpot set, and the
-    measured aspect-ratio estimate that sized the sampling.  When no explicit
-    config is given one is derived from the measured aspect ratio and the
-    ``rate_constant``/``seed``/``repeats`` knobs.
+    output graph is valid for the raw coordinates).  The components are
+    built once; draw r samples jackpots with seed ``seed + r``, and its edge
+    count follows exactly from which vertices hit the jackpot, so only the
+    smallest draw (ties to the smaller seed) is merged.  Every draw is
+    navigable, hence so is the winner.  ``repeats=None`` derives ceil(4
+    log2 n) draws.  ``meta`` records the normalized points and space, both
+    components, the winning config and jackpot set, the measured
+    aspect-ratio estimate that sized the sampling, and in ``run_sizes`` the
+    (seed, edge count) of every draw.
     """
     if pts.is_abstract:
         raise DomainError("the merged construction needs coordinate points")
@@ -172,14 +181,21 @@ def build_euclid_pg(
     norm = normalize(space, pts)
     hierarchy = build_net_hierarchy(norm.space, norm.points)
     aspect = hierarchy.extremes.aspect_ratio
-    if config is None:
-        config = derive_sample_config(
-            pts.n, aspect, rate_constant=rate_constant, seed=seed, repeats=repeats
-        )
+    config = derive_sample_config(
+        pts.n, aspect, rate_constant=rate_constant, seed=seed, repeats=repeats
+    )
     g_net = build_net_pg_fast(norm.space, norm.points, epsilon, hierarchy=hierarchy)
     g_geo = build_theta_graph(norm.points, epsilon / 32.0)
+    extra = _extra_edge_counts(g_net, g_geo)
+    run_sizes = []
+    for run_seed in range(config.seed, config.seed + config.repeats):
+        jackpots = sample_jackpots(pts.n, replace(config, seed=run_seed))
+        run_sizes.append((run_seed, g_geo.edge_count + int(extra[jackpots].sum())))
+    best_seed, best_size = min(run_sizes, key=lambda sv: (sv[1], sv[0]))
+    config = replace(config, seed=best_seed)
     jackpots = sample_jackpots(pts.n, config)
     merged = merged_from_components(g_net, g_geo, jackpots)
+    assert merged.edge_count == best_size
     merged.meta = {
         "space": norm.space,
         "points": norm.points,
@@ -190,6 +206,7 @@ def build_euclid_pg(
         "aspect_ratio": aspect,
         "g_net": g_net,
         "g_geo": g_geo,
+        "run_sizes": run_sizes,
     }
     return merged
 
@@ -262,47 +279,17 @@ def jackpot_condition_check(
 def best_of_runs(
     pts: PointSet,
     epsilon: float,
-    config: Optional[SampleConfig] = None,
     space: Optional[MetricSpace] = None,
     rate_constant: float = 4.0,
     seed: int = 0,
     repeats: Optional[int] = None,
 ) -> ProximityGraph:
-    """Smallest merged graph over ``config.repeats`` consecutively-seeded runs.
-
-    The deterministic components are built once; per run only the jackpot
-    sample varies, and the run's edge count follows exactly from which
-    vertices hit the jackpot, so only the winning graph is materialized.
-    Every candidate is individually navigable, hence so is the winner.
-    ``meta["run_sizes"]`` lists (seed, edge count) for all runs.
-    """
-    base = build_euclid_pg(
+    """``build_euclid_pg`` over ceil(4 log2 n) draws unless ``repeats`` is given."""
+    return build_euclid_pg(
         pts,
         epsilon,
-        config=config,
         space=space,
         rate_constant=rate_constant,
         seed=seed,
         repeats=repeats,
     )
-    config = base.meta["config"]
-    g_net, g_geo = base.meta["g_net"], base.meta["g_geo"]
-    extra = _extra_edge_counts(g_net, g_geo)
-    geo_edges = g_geo.edge_count
-    sizes = []
-    for r in range(config.repeats):
-        run_config = replace(config, seed=config.seed + r)
-        jackpots = sample_jackpots(pts.n, run_config)
-        sizes.append((run_config.seed, geo_edges + int(extra[jackpots].sum())))
-    best_seed, best_size = min(sizes, key=lambda sv: (sv[1], sv[0]))
-    if best_seed == config.seed:
-        winner = base
-    else:
-        jackpots = sample_jackpots(pts.n, replace(config, seed=best_seed))
-        winner = merged_from_components(g_net, g_geo, jackpots)
-        winner.meta = dict(base.meta)
-        winner.meta["config"] = replace(config, seed=best_seed)
-        winner.meta["jackpots"] = jackpots
-    assert winner.edge_count == best_size
-    winner.meta["run_sizes"] = sizes
-    return winner

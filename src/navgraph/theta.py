@@ -1,10 +1,12 @@
 """Cone families and theta-graphs for Euclidean point sets (d in {2, 3}).
 
 A cone family partitions direction space into closed cones of angular
-diameter at most theta, each carrying a designated interior ray.  The
-theta-graph connects every point p, per non-empty cone translated to apex p,
-to the point whose projection onto the designated ray lands closest to p.
-At theta = epsilon/32 the theta-graph is (1+epsilon)-navigable.
+diameter at most theta, each carrying a designated interior ray; it stores
+its k cones as two arrays, the halfspace normals (k, m, d) and the rays
+(k, d).  The theta-graph connects every point p, per non-empty cone
+translated to apex p, to the point whose projection onto the designated ray
+lands closest to p.  At theta = epsilon/32 the theta-graph is
+(1+epsilon)-navigable.
 
 Float exactness of the covering: adjacent cones share their boundary
 constraints through exact negation (IEEE fl(a-b) = -fl(b-a)), so a direction
@@ -47,7 +49,6 @@ from .graph import ProximityGraph
 from .metrics import PointSet
 
 __all__ = [
-    "Cone",
     "ConeFamily",
     "build_cone_family",
     "cone_contains",
@@ -61,29 +62,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Cone:
-    """A closed polyhedral cone at the origin plus a designated interior ray.
-
-    Membership: x is inside iff normals @ x >= 0 holds row-wise.
-    """
-
-    normals: np.ndarray  # (m, d), inward halfspace normals
-    ray: np.ndarray  # (d,), unit direction
-
-
-@dataclass(frozen=True)
 class ConeFamily:
-    """A covering collection of cones with angular diameter <= theta."""
+    """A covering collection of closed polyhedral cones at the origin with
+    angular diameter <= theta, each with a designated interior unit ray.
+
+    Cone j is ``normals[j]`` and ``rays[j]``: x is inside iff
+    ``normals[j] @ x >= 0`` holds row-wise.
+    """
 
     dimension: int
     theta: float
-    cones: tuple[Cone, ...]
-    rays: np.ndarray  # (k, d) stacked designated rays
-    #: (k, m, d) per-cone halfspace normals, each cone's ``normals`` stacked
-    normals_stacked: Optional[np.ndarray] = None
+    normals: np.ndarray  # (k, m, d) inward halfspace normals per cone
+    rays: np.ndarray  # (k, d) designated rays
 
     def __len__(self) -> int:
-        return len(self.cones)
+        return len(self.rays)
 
 
 def _build_sectors(theta: float) -> ConeFamily:
@@ -101,9 +94,8 @@ def _build_sectors(theta: float) -> ConeFamily:
     return ConeFamily(
         dimension=2,
         theta=float(theta),
-        cones=tuple(Cone(normals=nm, ray=ray) for nm, ray in zip(normals, rays)),
+        normals=normals,
         rays=rays,
-        normals_stacked=normals,
     )
 
 
@@ -158,9 +150,8 @@ def _build_sphere_cells(theta: float) -> ConeFamily:
     return ConeFamily(
         dimension=3,
         theta=float(theta),
-        cones=tuple(Cone(normals=nm, ray=ray) for nm, ray in zip(normals, rays)),
+        normals=normals,
         rays=rays,
-        normals_stacked=normals,
     )
 
 
@@ -178,7 +169,7 @@ def build_cone_family(dim: int, theta: float) -> ConeFamily:
 def cone_contains(family: ConeFamily, cone_id: int, apex, x) -> bool:
     """Closed membership of x in the cone translated to ``apex``."""
     v = np.asarray(x, dtype=np.float64) - np.asarray(apex, dtype=np.float64)
-    return bool((family.cones[cone_id].normals @ v >= 0.0).all())
+    return bool((family.normals[cone_id] @ v >= 0.0).all())
 
 
 def nearest_point_on_ray(
@@ -191,7 +182,7 @@ def nearest_point_on_ray(
     index.  Returns None for an empty cone.  This is the scalar reference
     route; the builder vectorizes the same arithmetic.
     """
-    ray = family.cones[cone_id].ray
+    ray = family.rays[cone_id]
     apex = pts.points[p]
     best: Optional[int] = None
     best_score = np.inf
@@ -251,7 +242,7 @@ def _sole_cones(
     cand = slot[band, column]  # the cell's two triangles
     pair = np.repeat(np.arange(len(rel)), 2)[cand.ravel() >= 0]
     cone = cand[cand >= 0]
-    dots = np.einsum("emd,ed->em", family.normals_stacked[cone], rel[pair])
+    dots = np.einsum("emd,ed->em", family.normals[cone], rel[pair])
     slack = _CLEAR_MARGIN * np.abs(rel[pair]).sum(axis=1)
     clear = (dots > slack[:, None]).all(axis=1)
     return pair[clear], cone[clear]
@@ -316,7 +307,7 @@ def _containing_cones(
     inside = np.empty(len(near_pair), dtype=bool)
     for s in range(0, len(near_pair), _PAIR_BUDGET):
         part = slice(s, s + _PAIR_BUDGET)
-        normals = family.normals_stacked[near_cone[part]]
+        normals = family.normals[near_cone[part]]
         dots = np.matmul(normals, rel[near_pair[part], :, None])
         inside[part] = (dots >= 0.0).all(axis=(1, 2))
     return (

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from navgraph import file_digest, load_graph, load_points
+from navgraph import (
+    EuclideanSpace,
+    build_euclid_pg,
+    file_digest,
+    load_graph,
+    load_points,
+    save_graph,
+)
 from navgraph.cli import main
 
 
@@ -112,6 +119,9 @@ def test_usage_errors_exit_two(workspace, capsys):
     )
     # missing file is an IO error
     assert run(["build", "net", "--eps", 1.0, "--in", tmp / "nope.txt", "--out", graph]) == 2
+    # a merged build needs at least one draw
+    merged = ["build", "merged", "--eps", 1.0, "--in", pts, "--out", tmp / "m.txt"]
+    assert run(merged + ["--repeats", 0]) == 2
 
 
 def test_non_finite_points_exit_two(tmp_path, capsys):
@@ -154,6 +164,20 @@ def test_theta_and_merged_builds(workspace):
     sizes = manifest["summary"]["run_sizes"]
     assert len(sizes) == 4
     assert load_graph(best).edge_count == min(s for _, s in sizes)
+
+
+def test_merged_build_honours_the_metric(workspace):
+    tmp, pts = workspace
+    built = {}
+    for metric in ("l2", "linf"):
+        built[metric] = tmp / f"gm-{metric}.txt"
+        argv = ["build", "merged", "--eps", 1.0, "--in", pts, "--out", built[metric]]
+        assert run(argv + ["--metric", metric]) == 0
+    library = tmp / "library-linf.txt"
+    points = load_points(pts)
+    save_graph(library, build_euclid_pg(points, 1.0, space=EuclideanSpace(2, "linf")))
+    assert file_digest(built["linf"]) == file_digest(library)
+    assert file_digest(built["linf"]) != file_digest(built["l2"])
 
 
 def test_theta_build_in_3d_at_the_papers_angle(tmp_path):

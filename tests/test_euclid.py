@@ -216,5 +216,27 @@ def test_best_of_runs_materializes_the_minimum():
     other_seed, other_size = next(
         sv for sv in sizes if sv[0] != cfg.seed
     )
-    rebuilt = build_euclid_pg(pts, 1.0, seed=other_seed, repeats=6)
+    rebuilt = build_euclid_pg(pts, 1.0, seed=other_seed)
     assert rebuilt.edge_count == other_size
+
+
+@pytest.mark.parametrize("seed,repeats", [(5, 6), (0, None)])
+def test_best_of_runs_is_the_merged_build_over_its_draws(seed, repeats):
+    pts = uniform_points(70, 2, 12)
+    best = best_of_runs(pts, 1.0, seed=seed, repeats=repeats)
+    if repeats is None:
+        repeats = math.ceil(4.0 * math.log2(pts.n))
+    built = build_euclid_pg(pts, 1.0, seed=seed, repeats=repeats)
+    assert built == best
+    assert np.array_equal(built.meta["jackpots"], best.meta["jackpots"])
+    assert built.meta["config"] == best.meta["config"]
+    assert built.meta["run_sizes"] == best.meta["run_sizes"]
+    assert [s for s, _ in built.meta["run_sizes"]] == list(range(seed, seed + repeats))
+
+
+def test_one_draw_build_records_its_own_size():
+    pts = uniform_points(70, 2, 12)
+    g = build_euclid_pg(pts, 1.0, seed=9)
+    assert g.meta["run_sizes"] == [(9, g.edge_count)]
+    assert g.meta["config"].seed == 9
+    assert np.array_equal(g.meta["jackpots"], sample_jackpots(pts.n, g.meta["config"]))

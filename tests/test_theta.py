@@ -33,8 +33,8 @@ def test_sector_count_and_rays():
     assert len(fam) == 202
     # designated rays are unit and inside their own sector
     assert np.allclose(np.linalg.norm(fam.rays, axis=1), 1.0)
-    for j, cone in enumerate(fam.cones):
-        assert (cone.normals @ cone.ray >= 0).all()
+    for normals, ray in zip(fam.normals, fam.rays):
+        assert (normals @ ray >= 0).all()
 
 
 def test_every_direction_lands_in_some_cone_2d():
@@ -59,8 +59,8 @@ def test_every_direction_lands_in_some_cone_3d():
     pair, _ = _containing_cones(fam, np.vstack([dirs, poles]))
     assert np.bincount(pair, minlength=len(dirs) + 2).all()
     # angular diameter within theta: designated rays are inside, corners close
-    for cone in fam.cones:
-        assert (cone.normals @ cone.ray >= 0).all()
+    for normals, ray in zip(fam.normals, fam.rays):
+        assert (normals @ ray >= 0).all()
 
 
 def test_cone_family_rejects_bad_arguments():
@@ -140,12 +140,11 @@ def test_theta_graph_rejects_abstract_points():
 def wedge_family():
     # hand-rolled single cone spanning [0, 60] degrees with the +x axis as
     # its designated ray, for pinning down the projection rule by hand
-    from navgraph import Cone, ConeFamily
+    from navgraph import ConeFamily
 
     normals = np.array([[0.0, 1.0], [math.sin(math.pi / 3), -math.cos(math.pi / 3)]])
     ray = np.array([1.0, 0.0])
-    cone = Cone(normals=normals, ray=ray)
-    return ConeFamily(dimension=2, theta=2.0, cones=(cone,), rays=ray[None, :])
+    return ConeFamily(dimension=2, theta=2.0, normals=normals[None], rays=ray[None])
 
 
 def test_projection_tie_breaks_to_smallest_index():

@@ -69,14 +69,18 @@ class SampleConfig:
     repeats: int
 
     def __post_init__(self):
-        if self.rate_constant <= 0:
-            raise DomainError(f"rate constant must be positive, got {self.rate_constant}")
+        _check_sample_args(self.rate_constant, self.repeats)
         if not (0.0 < self.keep_probability <= 1.0):
             raise DomainError(
                 f"keep probability must be in (0, 1], got {self.keep_probability}"
             )
-        if self.repeats < 1:
-            raise DomainError(f"repeats must be >= 1, got {self.repeats}")
+
+
+def _check_sample_args(rate_constant: float, repeats: Optional[int]) -> None:
+    if rate_constant <= 0:
+        raise DomainError(f"rate constant must be positive, got {rate_constant}")
+    if repeats is not None and repeats < 1:
+        raise DomainError(f"repeats must be >= 1, got {repeats}")
 
 
 def derive_sample_config(
@@ -176,6 +180,7 @@ def build_euclid_pg(
         raise DomainError(f"cone families support d in {{2, 3}}, got d={pts.dim}")
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
+    _check_sample_args(rate_constant, repeats)  # before the costly stages
     if space is None:
         space = EuclideanSpace(pts.dim)
     norm = normalize(space, pts)

@@ -6,8 +6,10 @@ integer id lines.  Floats are written with 17 significant digits so a
 write/read round trip reproduces the exact float64 bits.
 
 Graph files start with ``n m`` followed by m ``src dst`` lines sorted by
-(src, dst).  Trace files hold one ``vertex distance`` line per hop.  Lines
-beginning with ``#`` are ignored on input; writers never emit them.
+(src, dst); ``save_graph`` formats them a chunk of rows at a time, so its
+memory does not grow with m.  Trace files hold one ``vertex distance`` line
+per hop.  Lines beginning with ``#`` are ignored on input; writers never
+emit them.
 """
 
 from __future__ import annotations
@@ -79,11 +81,24 @@ def load_points(path) -> PointSet:
     return PointSet(coords)
 
 
+#: Rows of the adjacency formatted per write by ``save_graph``.
+SAVE_CHUNK_ROWS = 128
+
+
 def save_graph(path, graph: ProximityGraph) -> None:
-    out = [f"{graph.n} {graph.edge_count}"]
-    for src in range(graph.n):
-        out.extend(f"{src} {dst}" for dst in graph.out_edges[src])
-    Path(path).write_text("\n".join(out) + "\n")
+    """Write the ``n m`` header and the sorted edge lines, a chunk of rows at a time.
+
+    Each chunk turns its sources and targets into Python ints in two
+    ``tolist`` calls, so memory stays bounded by one chunk's lines.
+    """
+    offsets = graph.offsets.tolist()
+    with open(path, "w") as fh:
+        fh.write(f"{graph.n} {graph.edge_count}\n")
+        for a in range(0, graph.n, SAVE_CHUNK_ROWS):
+            b = min(a + SAVE_CHUNK_ROWS, graph.n)
+            src = np.repeat(np.arange(a, b), np.diff(graph.offsets[a : b + 1])).tolist()
+            dst = graph.flat[offsets[a] : offsets[b]].tolist()
+            fh.write("".join([f"{s} {t}\n" for s, t in zip(src, dst)]))
 
 
 def load_graph(path, provenance: str = "custom") -> ProximityGraph:

@@ -13,6 +13,13 @@ Four metric kinds are supported:
 Every space exposes a scalar ``distance`` and a batch ``distances`` that share
 one code path, so all callers (builders, searchers, verifiers) see bitwise
 identical values for the same pair.
+
+``pairwise_min_distance`` is the one pass that reads a raw coordinate set
+before anything else does, so it enforces the range window (``WINDOW_*``):
+coordinates no larger than 2^500, a minimum distance of at least 2^-500, and
+no coordinate larger than 2^60 minimum distances.  Outside it, squared
+distances overflow or underflow, or normalised grid cells overflow int64,
+and the input is rejected with a ``DomainError`` that says which.
 """
 
 from __future__ import annotations
@@ -23,7 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import DomainError
+from ._grid import cell_keys, neighbour_pairs
+from ._util import DomainError, ceil_log2
 
 __all__ = [
     "DomainError",
@@ -78,11 +86,19 @@ class EuclideanSpace(MetricSpace):
         pts = np.asarray(elements, dtype=np.float64)
         if pts.ndim == 1:
             pts = pts[None, :]
-        q = np.asarray(x, dtype=np.float64)
-        diff = pts - q
+        return self._pair_distances(pts, np.asarray(x, dtype=np.float64))
+
+    def _pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distances between the rows of ``a`` and ``b`` (broadcast), row by row.
+
+        The one place the norm is evaluated: the grid paths call it on
+        gathered row pairs, so they compute every distance with the same
+        operations, in the same order, as ``distances``.
+        """
+        diff = a - b
         if self.norm == "l2":
-            return np.sqrt((diff * diff).sum(axis=1))
-        return np.abs(diff).max(axis=1)
+            return np.sqrt((diff * diff).sum(axis=-1))
+        return np.abs(diff).max(axis=-1)
 
     def distance(self, a, b) -> float:
         a = np.asarray(a, dtype=np.float64)
@@ -352,11 +368,37 @@ def brute_force_nn(space: MetricSpace, pts: PointSet, q) -> tuple[int, float]:
     return idx, float(row[idx])
 
 
-def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
-    """Smallest inter-point distance (exact, O(n^2)), in blocks of 256 rows."""
+#: Range window of coordinate inputs: every |coordinate| is at most
+#: WINDOW_MAX_COORD, so squared differences cannot overflow; the minimum
+#: distance is at least WINDOW_MIN_DISTANCE, so squared distances cannot
+#: underflow; and the largest |coordinate| is at most WINDOW_MAX_SPREAD
+#: times the minimum distance, so normalised coordinates stay within 2^61
+#: and their grid cell indices fit in int64 (``_grid.fits``) at every cell
+#: side the builders use, 2 and up.
+WINDOW_MAX_COORD = 2.0**500
+WINDOW_MIN_DISTANCE = 2.0**-500
+WINDOW_MAX_SPREAD = 2.0**60
+
+
+def _check_spread(largest: float, dist: float, exact: bool) -> None:
+    """Reject a minimum distance, or an upper bound on it, outside the window."""
+    shown = f"{'' if exact else 'at most '}{dist:.3g}"
+    if not dist >= WINDOW_MIN_DISTANCE:
+        raise DomainError(
+            f"outside the range window: minimum distance {shown} is below 2^-500, "
+            "where squared distances underflow"
+        )
+    if largest > WINDOW_MAX_SPREAD * dist:
+        raise DomainError(
+            f"outside the range window: coordinate magnitude {largest:.3g} exceeds "
+            f"2^60 times the minimum distance {shown}, so normalised cell indices "
+            "would overflow int64"
+        )
+
+
+def _min_distance_blocked(space: MetricSpace, pts: PointSet) -> float:
+    """Exact minimum by the O(n^2) scan in blocks of 256 rows (the oracle)."""
     n = pts.n
-    if n < 2:
-        raise DomainError("need at least two points for a minimum distance")
     best = np.inf
     for start in range(0, n, 256):
         rows = np.empty((min(256, n - start), n), dtype=np.float64)
@@ -366,6 +408,65 @@ def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
         m = rows.min()
         if m < best:
             best = float(m)
+    return best
+
+
+def _sorted_neighbour_bound(space: EuclideanSpace, points: np.ndarray) -> float:
+    """Smallest distance between neighbours of a stable sort along any axis."""
+    best = np.inf
+    for axis in range(points.shape[1]):
+        s = points[np.argsort(points[:, axis], kind="stable")]
+        best = min(best, float(space._pair_distances(s[1:], s[:-1]).min()))
+    return best
+
+
+def _min_distance_grid(space: EuclideanSpace, points: np.ndarray, bound: float) -> float:
+    """Exact minimum by a grid scan, given a bound >= it that is a computed distance.
+
+    Rows go into cells whose side is the power of two at or above 2 * bound,
+    and each pair of rows in neighbouring cells is measured once.  The
+    closest pair's computed distance m is at most ``bound``, and each of
+    its |dx_k| is at most m up to rounding (a sum of non-negative squares
+    rounds no lower than any one of them), hence below 2 * bound: its cell
+    indices differ by at most one on every axis.  Pair distances come from
+    ``space._pair_distances``, the arithmetic of ``space.distances``, so the
+    minimum is bit-identical to the scan's.
+    """
+    keys, shifts = cell_keys(points, 2.0 ** ceil_log2(2.0 * bound))
+    order = np.argsort(keys, kind="stable")
+    best = np.inf
+    for q, pos in neighbour_pairs(keys[order], keys, shifts):
+        c = order[pos]
+        q, c = q[c > q], c[c > q]  # each pair once
+        if len(q):
+            best = min(best, float(space._pair_distances(points[q], points[c]).min()))
+    return best
+
+
+def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
+    """Smallest inter-point distance, exact.
+
+    Coordinate inputs in a Euclidean space are first checked against the
+    range window (``WINDOW_*``), then scanned through a grid whose cell side
+    comes from the sorted-neighbour bound: subquadratic on spread-out input,
+    and chunked, so never one n x n block.  Abstract metrics take the blocked
+    O(n^2) scan, which is also the grid's oracle.
+    """
+    if pts.n < 2:
+        raise DomainError("need at least two points for a minimum distance")
+    if pts.is_abstract or not isinstance(space, EuclideanSpace):
+        return _min_distance_blocked(space, pts)
+    points = pts.points
+    largest = float(np.abs(points).max())
+    if largest > WINDOW_MAX_COORD:
+        raise DomainError(
+            f"outside the range window: coordinate magnitude {largest:.3g} exceeds "
+            "2^500, where squared distances overflow"
+        )
+    bound = _sorted_neighbour_bound(space, points)
+    _check_spread(largest, bound, exact=False)  # the minimum is at most bound
+    best = _min_distance_grid(space, points, bound)
+    _check_spread(largest, best, exact=True)
     return best
 
 

@@ -19,11 +19,11 @@ Two builders produce byte-identical adjacency:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
 
+from ._grid import cell_keys, neighbour_pairs
 from ._util import DomainError, ceil_log2
 from .graph import ProximityGraph, sorted_distinct
 from .metrics import (
@@ -156,48 +156,25 @@ def _level_balls_grid(
 ) -> np.ndarray:
     """All radius-thr balls around every point, via one static grid per level.
 
-    Net members are bucketed into cells of side thr; any point within
+    Points and net members fall in cells of side thr; any member within
     distance thr of p lies in a cell adjacent to p's (coordinate-wise index
     difference at most 1), so the 3^d surrounding cells are a certified
-    candidate superset.  Queries sharing a cell share the gather and one
-    batched distance matrix.  The distance arithmetic (difference, square,
-    sum over the axis of length d, square root) matches the per-row path
-    operation for operation, so the balls are bitwise identical to a linear
-    scan's.  Returns the ascending codes p * n + y of every point p and
-    every member y in its ball, p's own code included.
+    candidate superset.  Candidate pairs are gathered and measured in
+    chunks through ``space._pair_distances``, the arithmetic of the per-row
+    path, so the balls are bitwise identical to a linear scan's.  Returns
+    the ascending codes p * n + y of every point p and every member y in
+    its ball, p's own code included.
     """
     points = pts.points
     n = len(points)
-    mpts = points[members]
-    dim = points.shape[1]
-    mcells = np.floor(mpts / thr).astype(np.int64)
-    buckets: dict[tuple, list] = {}
-    for row, key in enumerate(map(tuple, mcells.tolist())):
-        buckets.setdefault(key, []).append(row)
-    packed = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
-    qcells = np.floor(points / thr).astype(np.int64)
-    groups: dict[tuple, list] = {}
-    for p, key in enumerate(map(tuple, qcells.tolist())):
-        groups.setdefault(key, []).append(p)
-    offsets = list(iter_product((-1, 0, 1), repeat=dim))
+    keys, shifts = cell_keys(points, thr)
+    mkeys = keys[members]
+    order = np.argsort(mkeys, kind="stable")
     codes = [np.empty(0, dtype=np.int64)]
-    for key, plist in groups.items():
-        parts = []
-        for off in offsets:
-            hit = packed.get(tuple(k + o for k, o in zip(key, off)))
-            if hit is not None:
-                parts.append(hit)
-        if not parts:
-            continue
-        cand = np.concatenate(parts)
-        plist = np.array(plist)
-        diff = points[plist][:, None, :] - mpts[cand][None, :, :]
-        if space.norm == "l2":
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
-        else:
-            dist = np.abs(diff).max(axis=2)
-        row, col = np.nonzero(dist <= thr)
-        codes.append(plist[row] * n + members[cand[col]])
+    for p, pos in neighbour_pairs(mkeys[order], keys, shifts):
+        y = members[order[pos]]
+        inside = space._pair_distances(points[y], points[p]) <= thr
+        codes.append(p[inside] * n + y[inside])
     return np.sort(np.concatenate(codes))
 
 
@@ -209,8 +186,8 @@ def build_net_pg_fast(
 ) -> ProximityGraph:
     """Production builder; byte-identical adjacency to the naive builder.
 
-    Coordinate inputs collect each level's balls through a static grid in
-    per-cell batches, one distance matrix per occupied cell, which amortizes
+    Coordinate inputs collect each level's balls through a static grid,
+    measuring the candidate pairs of many points per batch, which amortizes
     the per-point overhead that dominates the row-per-point rule at desk
     scale.  Abstract metrics have no coordinates to bucket, and the
     definitional rule is the fastest correct path there, so they get

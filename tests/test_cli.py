@@ -124,6 +124,19 @@ def test_usage_errors_exit_two(workspace, capsys):
     assert run(merged + ["--repeats", 0]) == 2
 
 
+@pytest.mark.parametrize(
+    "body",
+    ["1e300 0\n0 1e300\n1e300 1e300\n", "1e200 2e200\n3e200 1e200\n0 0\n", "0 0\n1e-300 0\n1 1\n"],
+    ids=["coords-1e300", "coords-1e200", "gap-1e-300"],
+)
+def test_range_window_probes_exit_two(tmp_path, capsys, body):
+    pts = tmp_path / "p.txt"
+    pts.write_text("2 3\n" + body)
+    for algo in ("net", "merged"):
+        assert run(["build", algo, "--eps", 1.0, "--in", pts, "--out", tmp_path / "g.txt"]) == 2
+        assert "range window" in capsys.readouterr().err
+
+
 def test_non_finite_points_exit_two(tmp_path, capsys):
     pts = tmp_path / "nan.txt"
     pts.write_text("2 3\n0 0\n1 nan\n3 1\n")

@@ -240,3 +240,15 @@ def test_one_draw_build_records_its_own_size():
     assert g.meta["run_sizes"] == [(9, g.edge_count)]
     assert g.meta["config"].seed == 9
     assert np.array_equal(g.meta["jackpots"], sample_jackpots(pts.n, g.meta["config"]))
+
+
+@pytest.mark.parametrize("kwargs", [{"repeats": 0}, {"rate_constant": 0.0}])
+def test_merged_arguments_rejected_before_normalize(monkeypatch, kwargs):
+    import navgraph.euclid as euclid
+
+    def normalize_must_not_run(*args):
+        raise AssertionError("normalize ran before the arguments were checked")
+
+    monkeypatch.setattr(euclid, "normalize", normalize_must_not_run)
+    with pytest.raises(DomainError):
+        build_euclid_pg(uniform_points(20, 2, 0), 1.0, **kwargs)

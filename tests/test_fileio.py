@@ -114,3 +114,26 @@ def test_comments_and_blanks_ignored(tmp_path):
     f.write_text("# comment\n\n1 2\n0.5\n\n# another\n1.5\n")
     pts = load_points(f)
     assert pts.points.tolist() == [[0.5], [1.5]]
+
+
+def _save_graph_rowwise(path, graph):
+    """The one-list writer save_graph replaced: the byte-equality oracle."""
+    out = [f"{graph.n} {graph.edge_count}"]
+    for src in range(graph.n):
+        out.extend(f"{src} {dst}" for dst in graph.out_edges[src])
+    path.write_text("\n".join(out) + "\n")
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 129, 300])
+def test_chunked_save_graph_matches_rowwise_writer(tmp_path, n):
+    rng = np.random.default_rng(n)
+    rows = []
+    for v in range(n):
+        # about a third of the rows are empty, the last one always
+        k = 0 if v == n - 1 or rng.random() < 0.35 else int(rng.integers(1, min(n, 9)))
+        targets = rng.choice(np.delete(np.arange(n), v), size=min(k, n - 1), replace=False)
+        rows.append(np.sort(targets))
+    g = ProximityGraph(n, rows)
+    save_graph(tmp_path / "chunked.txt", g)
+    _save_graph_rowwise(tmp_path / "rowwise.txt", g)
+    assert (tmp_path / "chunked.txt").read_bytes() == (tmp_path / "rowwise.txt").read_bytes()

@@ -225,6 +225,90 @@ def test_pairwise_min_distance_matches_loop(seed, n):
     assert pairwise_min_distance(space, pts) == best
 
 
+def _min_inputs():
+    rng = np.random.default_rng(7)
+    centres = rng.random((5, 2)) * 100.0
+    clustered = centres[rng.integers(0, 5, 600)] + rng.normal(scale=1e-4, size=(600, 2))
+    column = np.column_stack([np.full(500, 3.0), rng.random(500)])
+    axes = np.arange(-8.0, 9.0)
+    lattice = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    return {
+        "uniform": rng.random((800, 2)) - 0.5,
+        "clustered": clustered,
+        "same-x-column": column,
+        "lattice": lattice[rng.permutation(len(lattice))],
+        "uniform-3d": rng.random((500, 3)),
+    }
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("kind", list(_min_inputs()))
+def test_grid_min_distance_equals_blocked_scan(kind, norm):
+    from navgraph.metrics import _min_distance_blocked
+
+    pts = PointSet(_min_inputs()[kind])
+    space = EuclideanSpace(pts.dim, norm=norm)
+    assert pairwise_min_distance(space, pts) == _min_distance_blocked(space, pts)
+
+
+def test_grid_min_distance_in_small_chunks(monkeypatch):
+    # a loose bound on clustered input goes through many bounded chunks
+    from navgraph import _grid
+    from navgraph.metrics import _min_distance_blocked
+
+    monkeypatch.setattr(_grid, "CHUNK_PAIRS", 64)
+    space = EuclideanSpace(2)
+    for kind in ("clustered", "same-x-column"):
+        pts = PointSet(_min_inputs()[kind])
+        assert pairwise_min_distance(space, pts) == _min_distance_blocked(space, pts)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 150),
+    st.integers(1, 3),
+    st.sampled_from(["l2", "linf"]),
+    st.floats(-30, 30),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_min_distance_property(seed, n, d, norm, log_scale):
+    from navgraph.metrics import _min_distance_blocked
+
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, d)) * 2.0**log_scale
+    raw[: n // 3] = np.round(raw[: n // 3])  # ties and exact lattice gaps
+    pts = PointSet(np.unique(raw, axis=0))
+    if pts.n < 2:
+        return
+    space = EuclideanSpace(d, norm=norm)
+    assert pairwise_min_distance(space, pts) == _min_distance_blocked(space, pts)
+
+
+@pytest.mark.parametrize(
+    "coords,problem",
+    [
+        ([[1e300, 0.0], [0.0, 1e300], [1e300, 1e300]], "exceeds 2^500"),
+        ([[1e200, 2e200], [3e200, 1e200], [0.0, 0.0]], "exceeds 2^500"),
+        ([[0.0, 0.0], [1e-300, 0.0], [1.0, 1.0]], "below 2^-500"),
+        ([[1e10, 0.0], [1e10, 1e-10], [0.0, 1.0]], "2^60 times the minimum distance"),
+    ],
+    ids=["coords-1e300", "coords-1e200", "gap-1e-300", "spread-1e20"],
+)
+def test_range_window_rejects_with_named_error(coords, problem):
+    space = EuclideanSpace(2)
+    with pytest.raises(DomainError, match="range window") as err:
+        pairwise_min_distance(space, PointSet(np.array(coords)))
+    assert problem in str(err.value)
+
+
+def test_range_window_admits_its_edges():
+    space = EuclideanSpace(2)
+    big = PointSet(np.array([[2.0**500, 0.0], [0.0, 2.0**500]]))
+    assert pairwise_min_distance(space, big) == space.distance(*big.points)
+    tiny = PointSet(np.array([[0.0, 0.0], [2.0**-500, 0.0]]))
+    assert pairwise_min_distance(space, tiny) == 2.0**-500
+
+
 def test_cross_distances_shape_and_values():
     space = EuclideanSpace(2)
     a = np.array([[0.0, 0.0], [1.0, 0.0]])

@@ -96,3 +96,90 @@ def test_hierarchy_levels_nest_and_shrink(seed, n):
     for level in range(h.top_level + 1):
         v = verify_r_net(norm.space, norm.points, 2.0**level, h.members(level))
         assert v is None, (level, v)
+
+
+def _lattice(d, side, seed):
+    """Shuffled integer lattice [-side, side]^d: exact distances, boundary points."""
+    axes = [np.arange(-side, side + 1, dtype=np.float64)] * d
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    return PointSet(grid[np.random.default_rng(seed).permutation(len(grid))])
+
+
+def _planted_pair(n, seed):
+    pts = np.random.default_rng(seed).random((n, 2))
+    pts[0], pts[1] = (0.0, 0.0), (2.0**-14, 0.0)
+    return PointSet(pts)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("d,side", [(1, 40), (2, 9), (3, 4), (4, 3)])
+def test_grid_net_equals_linear_sweep_on_lattices(norm, d, side):
+    from navgraph.nets import _greedy_r_net_grid, _greedy_r_net_linear
+
+    space = EuclideanSpace(d, norm=norm)
+    pts = _lattice(d, side, seed=d)
+    for radius in (0.5, 1.0, 2.0, 4.0, 8.0, 64.0):
+        got = _greedy_r_net_grid(space, pts, radius)
+        assert np.array_equal(got, _greedy_r_net_linear(space, pts, radius)), radius
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_hierarchy_equals_linear_sweep(norm, d):
+    from navgraph.nets import _greedy_r_net_linear
+
+    space = EuclideanSpace(d, norm=norm)
+    raw = uniform_points(600, d, seed=10 + d).points - 0.5  # negative coordinates
+    inputs = [PointSet(raw)] + ([_planted_pair(1000, 311)] if d == 2 else [])
+    for pts in inputs:
+        norm_in = normalize(space, pts)
+        h = build_net_hierarchy(norm_in.space, norm_in.points)
+        for level in range(1, h.top_level + 1):
+            want = _greedy_r_net_linear(norm_in.space, norm_in.points, 2.0**level)
+            assert np.array_equal(h.members(level), want), level
+
+
+def test_grid_net_block_and_chunk_boundaries(monkeypatch):
+    # several blocks per sweep and several chunks per neighbour lookup
+    from navgraph import _grid, nets
+
+    monkeypatch.setattr(nets, "NET_BLOCK", 7)
+    monkeypatch.setattr(_grid, "CHUNK_PAIRS", 5)
+    space = EuclideanSpace(2)
+    pts = _lattice(2, 6, seed=4)
+    for radius in (1.0, 2.0, 4.0):
+        want = nets._greedy_r_net_linear(space, pts, radius)
+        assert np.array_equal(nets._greedy_r_net_grid(space, pts, radius), want)
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 120),
+    st.integers(1, 4),
+    st.sampled_from(["l2", "linf"]),
+    st.integers(-3, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponent):
+    from navgraph.nets import _greedy_r_net_grid, _greedy_r_net_linear
+
+    rng = np.random.default_rng(seed)
+    # coarse integer coordinates put many points on cell boundaries and at
+    # distance exactly r; the scale keeps them exact
+    pts = np.unique(rng.integers(-6, 7, size=(n, d)), axis=0) * 0.5
+    pts = PointSet(pts[rng.permutation(len(pts))])
+    space = EuclideanSpace(d, norm=norm)
+    radius = 2.0**exponent
+    assert np.array_equal(
+        _greedy_r_net_grid(space, pts, radius), _greedy_r_net_linear(space, pts, radius)
+    )
+
+
+def test_grid_net_falls_back_where_cells_overflow():
+    # cell indices of 2^70 at radius 1 do not fit in int64: the linear sweep runs
+    from navgraph.nets import _greedy_r_net_linear
+
+    space = EuclideanSpace(1)
+    pts = PointSet(np.array([[0.0], [2.0**70], [2.0**70 + 2.0**18], [1.0]]))
+    assert greedy_r_net(space, pts, 1.0).tolist() == [0, 1, 2, 3]
+    assert np.array_equal(greedy_r_net(space, pts, 4.0), _greedy_r_net_linear(space, pts, 4.0))

@@ -6,8 +6,9 @@ the 3^d cells around a cell are its number plus one fixed shift each.  The
 numbers are int64 and wrap modulo 2^64 when the box holds more than 2^63
 cells; distinct cells may then share a number, which only adds candidates
 that the caller's exact distance test rejects.  The per-axis cell indices
-themselves must stay below 2^61 (``fits``), which the range window in
-``metrics`` guarantees for normalised inputs at any side above 1.
+themselves must stay below 2^61 so that spans of them fit in int64:
+``fits`` is the one test of that, and each caller either falls back to its
+linear path when it fails or, in ``netpg.normalize``, rejects the input.
 """
 
 from __future__ import annotations
@@ -56,21 +57,11 @@ def neighbour_pairs(sorted_keys: np.ndarray, query_keys: np.ndarray, shifts: np.
 
     A position indexes ``sorted_keys`` (ascending cell numbers); it is paired
     with query k when its cell is one of the 3^d cells around query k's.
-    Queries come in ascending order.  When there are no more rows than cells
-    to look up, every row is paired with every query instead, a superset
-    that costs less.  Pairs come in
-    chunks of whole queries holding about ``CHUNK_PAIRS`` pairs (a query
-    with more candidates is a chunk of its own), so clustered input never
-    builds one quadratic block.
+    Queries come in ascending order.  Pairs come in chunks of whole queries
+    holding about ``CHUNK_PAIRS`` pairs (a query with more candidates is a
+    chunk of its own), so clustered input never builds one quadratic block.
     """
-    rows = len(sorted_keys)
-    if rows == 0:
-        return
-    if rows <= len(shifts):
-        step = max(1, CHUNK_PAIRS // rows)
-        for a in range(0, len(query_keys), step):
-            b = min(a + step, len(query_keys))
-            yield np.repeat(np.arange(a, b), rows), np.tile(np.arange(rows), b - a)
+    if len(sorted_keys) == 0:
         return
     step = max(1, CHUNK_PAIRS // len(shifts))
     for q0 in range(0, len(query_keys), step):

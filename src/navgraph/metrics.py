@@ -16,10 +16,10 @@ identical values for the same pair.
 
 ``pairwise_min_distance`` is the one pass that reads a raw coordinate set
 before anything else does, so it enforces the range window (``WINDOW_*``):
-coordinates no larger than 2^500, a minimum distance of at least 2^-500, and
-no coordinate larger than 2^60 minimum distances.  Outside it, squared
-distances overflow or underflow, or normalised grid cells overflow int64,
-and the input is rejected with a ``DomainError`` that says which.
+coordinates no larger than 2^500 and a minimum distance of at least 2^-500.
+Outside it squared distances overflow or underflow, and the input is
+rejected with a ``DomainError`` that says which.  ``netpg.normalize`` adds
+the grid builders' part of the window: normalised cell indices fit in int64.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._grid import cell_keys, neighbour_pairs
+from ._grid import cell_keys, fits, neighbour_pairs
 from ._util import DomainError, ceil_log2
 
 __all__ = [
@@ -369,30 +369,20 @@ def brute_force_nn(space: MetricSpace, pts: PointSet, q) -> tuple[int, float]:
 
 
 #: Range window of coordinate inputs: every |coordinate| is at most
-#: WINDOW_MAX_COORD, so squared differences cannot overflow; the minimum
+#: WINDOW_MAX_COORD, so squared differences cannot overflow, and the minimum
 #: distance is at least WINDOW_MIN_DISTANCE, so squared distances cannot
-#: underflow; and the largest |coordinate| is at most WINDOW_MAX_SPREAD
-#: times the minimum distance, so normalised coordinates stay within 2^61
-#: and their grid cell indices fit in int64 (``_grid.fits``) at every cell
-#: side the builders use, 2 and up.
+#: underflow.
 WINDOW_MAX_COORD = 2.0**500
 WINDOW_MIN_DISTANCE = 2.0**-500
-WINDOW_MAX_SPREAD = 2.0**60
 
 
-def _check_spread(largest: float, dist: float, exact: bool) -> None:
-    """Reject a minimum distance, or an upper bound on it, outside the window."""
-    shown = f"{'' if exact else 'at most '}{dist:.3g}"
+def _check_min_distance(dist: float, exact: bool) -> None:
+    """Reject a minimum distance, or an upper bound on it, below the window."""
     if not dist >= WINDOW_MIN_DISTANCE:
+        shown = f"{'' if exact else 'at most '}{dist:.3g}"
         raise DomainError(
             f"outside the range window: minimum distance {shown} is below 2^-500, "
             "where squared distances underflow"
-        )
-    if largest > WINDOW_MAX_SPREAD * dist:
-        raise DomainError(
-            f"outside the range window: coordinate magnitude {largest:.3g} exceeds "
-            f"2^60 times the minimum distance {shown}, so normalised cell indices "
-            "would overflow int64"
         )
 
 
@@ -420,19 +410,18 @@ def _sorted_neighbour_bound(space: EuclideanSpace, points: np.ndarray) -> float:
     return best
 
 
-def _min_distance_grid(space: EuclideanSpace, points: np.ndarray, bound: float) -> float:
-    """Exact minimum by a grid scan, given a bound >= it that is a computed distance.
+def _min_distance_grid(space: EuclideanSpace, points: np.ndarray, side: float) -> float:
+    """Exact minimum by a grid scan in cells of ``side`` >= 2 * a computed distance.
 
-    Rows go into cells whose side is the power of two at or above 2 * bound,
-    and each pair of rows in neighbouring cells is measured once.  The
-    closest pair's computed distance m is at most ``bound``, and each of
-    its |dx_k| is at most m up to rounding (a sum of non-negative squares
-    rounds no lower than any one of them), hence below 2 * bound: its cell
-    indices differ by at most one on every axis.  Pair distances come from
+    Each pair of rows in neighbouring cells is measured once.  The closest
+    pair's computed distance m is at most side / 2, and each of its |dx_k|
+    is at most m up to rounding (a sum of non-negative squares rounds no
+    lower than any one of them), hence below ``side``: its cell indices
+    differ by at most one on every axis.  Pair distances come from
     ``space._pair_distances``, the arithmetic of ``space.distances``, so the
     minimum is bit-identical to the scan's.
     """
-    keys, shifts = cell_keys(points, 2.0 ** ceil_log2(2.0 * bound))
+    keys, shifts = cell_keys(points, side)
     order = np.argsort(keys, kind="stable")
     best = np.inf
     for q, pos in neighbour_pairs(keys[order], keys, shifts):
@@ -448,9 +437,11 @@ def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
 
     Coordinate inputs in a Euclidean space are first checked against the
     range window (``WINDOW_*``), then scanned through a grid whose cell side
-    comes from the sorted-neighbour bound: subquadratic on spread-out input,
-    and chunked, so never one n x n block.  Abstract metrics take the blocked
-    O(n^2) scan, which is also the grid's oracle.
+    is the power of two at or above twice the sorted-neighbour bound:
+    subquadratic on spread-out input, and chunked, so never one n x n block.
+    Abstract metrics, and coordinates too large for that grid's cell
+    indices (``_grid.fits``), take the blocked O(n^2) scan, which is also
+    the grid's oracle.
     """
     if pts.n < 2:
         raise DomainError("need at least two points for a minimum distance")
@@ -464,9 +455,13 @@ def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
             "2^500, where squared distances overflow"
         )
     bound = _sorted_neighbour_bound(space, points)
-    _check_spread(largest, bound, exact=False)  # the minimum is at most bound
-    best = _min_distance_grid(space, points, bound)
-    _check_spread(largest, best, exact=True)
+    _check_min_distance(bound, exact=False)  # the minimum is at most bound
+    side = 2.0 ** ceil_log2(2.0 * bound)
+    if fits(points, side):
+        best = _min_distance_grid(space, points, side)
+    else:
+        best = _min_distance_blocked(space, pts)
+    _check_min_distance(best, exact=True)
     return best
 
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._grid import cell_keys, neighbour_pairs
+from ._grid import cell_keys, fits, neighbour_pairs
 from ._util import DomainError, ceil_log2
 from .graph import ProximityGraph, sorted_distinct
 from .metrics import (
@@ -99,7 +99,13 @@ class NormalizedInput:
 
 
 def normalize(space: MetricSpace, pts: PointSet) -> NormalizedInput:
-    """Uniformly rescale so the minimum inter-point distance becomes 2."""
+    """Uniformly rescale so the minimum inter-point distance becomes 2.
+
+    Normalised coordinates feed the grid builders, whose cells have side 2
+    and up; inputs whose cell indices there would overflow int64 (a
+    coordinate of about 2^60 minimum distances) are outside the range
+    window and rejected.
+    """
     if pts.n < 2:
         raise DomainError("normalization needs at least two points")
     dmin = pairwise_min_distance(space, pts)
@@ -110,9 +116,14 @@ def normalize(space: MetricSpace, pts: PointSet) -> NormalizedInput:
         return NormalizedInput(
             space=ScaledSpace(space, scale), points=pts, scale=scale
         )
-    return NormalizedInput(
-        space=space, points=PointSet(pts.points * scale), scale=scale
-    )
+    points = pts.points * scale
+    if not fits(points, 2.0):
+        raise DomainError(
+            "outside the range window: coordinates are too far apart for the "
+            f"minimum distance {dmin:.3g}, so normalised grid cell indices "
+            "would overflow int64"
+        )
+    return NormalizedInput(space=space, points=PointSet(points), scale=scale)
 
 
 def _level_threshold(phi: float, level: int) -> float:

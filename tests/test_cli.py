@@ -137,6 +137,19 @@ def test_range_window_probes_exit_two(tmp_path, capsys, body):
         assert "range window" in capsys.readouterr().err
 
 
+def test_wide_spread_points_verify_but_do_not_build(tmp_path, capsys):
+    """Normalised cells would overflow int64: builds exit 2, verification runs."""
+    pts = tmp_path / "p.txt"
+    pts.write_text("2 3\n1e10 0\n1e10 1e-10\n0 1\n")
+    graph = tmp_path / "g.txt"
+    graph.write_text("3 6\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n")
+    assert run(["verify", "navigable", "--graph", graph, "--points", pts, "--eps", 1.0]) == 0
+    assert "navigable: pass" in capsys.readouterr().out
+    for algo in ("net", "merged"):
+        assert run(["build", algo, "--eps", 1.0, "--in", pts, "--out", tmp_path / "b.txt"]) == 2
+        assert "range window" in capsys.readouterr().err
+
+
 def test_non_finite_points_exit_two(tmp_path, capsys):
     pts = tmp_path / "nan.txt"
     pts.write_text("2 3\n0 0\n1 nan\n3 1\n")

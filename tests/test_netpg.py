@@ -70,6 +70,16 @@ def test_normalize_sets_min_distance_two():
     assert norm_t.space.distance(0, 1) == norm_t.scale * tree.distance(0, 1)
 
 
+def test_normalize_rejects_cells_beyond_int64():
+    space = EuclideanSpace(2)
+    wide = PointSet(np.array([[1e10, 0.0], [1e10, 1e-10], [0.0, 1.0]]))
+    with pytest.raises(DomainError, match="range window"):
+        normalize(space, wide)
+    # 2^58 minimum distances normalise to 2^59, whose cells fit
+    edge = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.0**58, 0.0]]))
+    assert normalize(space, edge).scale == 2.0
+
+
 @given(st.integers(0, 2**31 - 1), st.integers(10, 80), st.sampled_from([1.0, 0.5, 0.25]))
 @settings(max_examples=12, deadline=None)
 def test_fast_equals_naive_euclidean(seed, n, eps):

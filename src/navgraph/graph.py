@@ -17,8 +17,8 @@ else ``DomainError``.
 
 A ``ProximityGraph`` stores its adjacency once, as CSR (``flat``,
 ``offsets``).  Builders hand it their edges as sorted codes v * n + t
-(``from_codes``); rows from files, tests and the hard instances go through
-the validating constructor.
+(``from_codes``); rows from tests and the hard instances go through the
+validating constructor, and graph files through the same check on their CSR.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ class ProximityGraph:
     (length n+1) are read-only and the only copy of the adjacency;
     ``out_edges`` lists read-only views of the rows, built on first use.
 
-    The constructor validates a sequence of rows.  ``from_codes`` takes the
-    ascending, distinct edge codes v * n + t and checks nothing, since a
-    target >= n would alias into the next row's codes: only builders, whose
-    codes are correct by construction, call it.  Graphs are immutable.
+    The constructor validates a sequence of rows, and ``_from_csr`` (the
+    graph-file loader's entry) an int64 CSR, by the same check.
+    ``from_codes`` takes the ascending, distinct edge codes v * n + t and
+    checks nothing, since a target >= n would alias into the next row's
+    codes: only builders, whose codes are correct by construction, call it.
+    Graphs are immutable.
     """
 
     def __init__(self, n: int, out_edges: Sequence, provenance: str = "custom"):
@@ -76,20 +78,18 @@ class ProximityGraph:
             raise DomainError(f"adjacency row {np.argmax(ndim != 1)} is not 1-D")
         offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
         flat = np.concatenate(rows)
-        # one pass over all rows; the first faulty row is reported
-        row_of = np.repeat(np.arange(n), np.diff(offsets))
-        unsorted = np.zeros(len(flat), dtype=bool)
-        unsorted[1:] = (flat[1:] <= flat[:-1]) & (row_of[1:] == row_of[:-1])
-        faults = (
-            ((flat < 0) | (flat >= n), f"has targets outside [0, {n})"),
-            (unsorted, "is not strictly sorted"),
-            (flat == row_of, "contains a self-loop"),
-        )
-        first = [row_of[bad].min(initial=n) for bad, _ in faults]
-        if min(first) < n:
-            v = min(first)
-            raise DomainError(f"row {v} {faults[first.index(v)][1]}")
+        _check_csr(n, flat, offsets)
         self._store(n, flat, offsets, provenance)
+
+    @classmethod
+    def _from_csr(
+        cls, n: int, flat: np.ndarray, offsets: np.ndarray, provenance: str
+    ) -> ProximityGraph:
+        """The graph of an int64 CSR adjacency, checked as the constructor checks rows."""
+        _check_csr(n, flat, offsets)
+        g = cls.__new__(cls)
+        g._store(n, flat, offsets, provenance)
+        return g
 
     @classmethod
     def from_codes(cls, n: int, codes: np.ndarray, provenance: str) -> ProximityGraph:
@@ -140,6 +140,25 @@ class ProximityGraph:
             return NotImplemented
         same_rows = self.n == other.n and np.array_equal(self.offsets, other.offsets)
         return same_rows and np.array_equal(self.flat, other.flat)
+
+
+def _check_csr(n: int, flat: np.ndarray, offsets: np.ndarray) -> None:
+    """Every row strictly ascending, in [0, n) and without its own vertex.
+
+    One vectorised pass over all rows; the first faulty row is reported.
+    """
+    row_of = np.repeat(np.arange(n), np.diff(offsets))
+    unsorted = np.zeros(len(flat), dtype=bool)
+    unsorted[1:] = (flat[1:] <= flat[:-1]) & (row_of[1:] == row_of[:-1])
+    faults = (
+        ((flat < 0) | (flat >= n), f"has targets outside [0, {n})"),
+        (unsorted, "is not strictly sorted"),
+        (flat == row_of, "contains a self-loop"),
+    )
+    first = [row_of[bad].min(initial=n) for bad, _ in faults]
+    if min(first) < n:
+        v = min(first)
+        raise DomainError(f"row {v} {faults[first.index(v)][1]}")
 
 
 @dataclass(frozen=True)

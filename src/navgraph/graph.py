@@ -17,8 +17,9 @@ else ``DomainError``.
 
 A ``ProximityGraph`` stores its adjacency once, as CSR (``flat``,
 ``offsets``).  Builders hand it their edges as sorted codes v * n + t
-(``from_codes``); rows from tests and the hard instances go through the
-validating constructor, and graph files through the same check on their CSR.
+(``from_codes``); rows from tests go through the validating constructor,
+graph files through the same check on their CSR, and the forced-edge
+certificates through ``_star``, one vertex's row and nothing else.
 """
 
 from __future__ import annotations
@@ -97,6 +98,20 @@ class ProximityGraph:
         g = cls.__new__(cls)
         offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
         g._store(n, (codes % n).astype(np.int64, copy=False), offsets, provenance)
+        return g
+
+    @classmethod
+    def _star(cls, n: int, v: int, row: np.ndarray) -> ProximityGraph:
+        """The graph whose only out-edges are vertex v's ``row``, unchecked.
+
+        No Python loop over n: the other rows share one empty view.
+        """
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        offsets[v + 1 :] = len(row)
+        g = cls.__new__(cls)
+        g._store(n, row, offsets, "custom")
+        g.out_edges = [row[:0]] * n
+        g.out_edges[v] = row
         return g
 
     def _store(self, n, flat, offsets, provenance) -> None:

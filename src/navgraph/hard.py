@@ -8,7 +8,15 @@ point, forcing every ordered intra-block pair.  Both families also come with
 doubling witnesses: sampled balls are covered by few half-radius balls, with
 the cover exhibited explicitly and checked exhaustively.
 
-The tree itself is never materialized (leaf ids can run to 2**30); all
+A forced edge (s, t) is certified two ways that must agree: directly (no
+point other than s and t is strictly closer to the query than s) and by a
+literal ``greedy_search`` from s.  The literal run walks a star graph that
+holds s's row of the complete graph minus the edge and no other row.  Its
+first step reads only that row, so a stuck run is stuck in both graphs;
+a run that moves leaves s in both, so it is "not stuck" in both.  Each
+certificate is O(m) array work for m points, not an O(m^2) graph.
+
+The tree itself is never materialized (leaf ids run up to 2**63 - 1); all
 structure lives in the id arithmetic of the xor metric.
 """
 
@@ -193,25 +201,18 @@ def gen_block_instance(side: int, copies: int, dim: int) -> BlockInstance:
     )
 
 
-def _complete_rows(m: int) -> list:
-    all_idx = np.arange(m, dtype=np.int64)
-    return [np.delete(all_idx, i) for i in range(m)]
-
-
 def _forced_edge_failure(
-    space, pts: PointSet, row: np.ndarray, complete: list, start: int, target: int, q
+    space, pts: PointSet, row: np.ndarray, start: int, target: int, q
 ) -> Optional[str]:
     """Why the edge (start, target) is not certified forced for q, or None.
 
-    ``row`` holds every point's distance to q, ``complete`` the rows of the
-    complete graph.  Greedy from ``start`` must be stuck without the edge, by
-    direct quantification and by a literal run; the two must agree.
+    ``row`` holds every point's distance to q.  Without the edge, greedy from
+    ``start`` must be stuck, by direct quantification and by a literal run
+    over start's row alone (see the module docstring); the two must agree.
     """
-    m = len(row)
-    direct = bool((np.delete(row, [start, target]) >= row[start]).all())
-    rows = list(complete)
-    rows[start] = np.delete(np.arange(m, dtype=np.int64), [start, target])
-    trace = greedy_search(ProximityGraph(m, rows), space, pts, start, q)
+    others = np.delete(np.arange(len(row)), [start, target])
+    direct = bool((row[others] >= row[start]).all())
+    trace = greedy_search(ProximityGraph._star(len(row), start, others), space, pts, start, q)
     literal = trace.terminated == "self" and len(trace.hops) == 1
     if literal != direct:
         return "routes disagree"
@@ -221,16 +222,17 @@ def _forced_edge_failure(
 def verify_forced_edges_tree(instance: TreeInstance) -> ForcedEdgeReport:
     """Certify that every (subtree leaf, path leaf) directed edge is forced.
 
-    For each pair the complete graph minus that one edge is built and greedy
-    is run literally from the subtree leaf toward the path leaf; in parallel
-    the stuck condition (no remaining out-neighbor strictly closer) is
-    checked by direct quantification.  Both routes must agree; the pair is
+    For each pair, greedy from the subtree leaf toward the path leaf must be
+    stuck once that one edge is dropped from the complete graph: no other
+    point strictly closer, checked by direct quantification and by a literal
+    greedy run over the subtree leaf's row alone (see
+    ``_forced_edge_failure``).  Both routes must agree; the pair is
     certified only when both report stuck, which makes the dropped edge
-    mandatory for any graph claiming greedy reachability.
+    mandatory for any graph claiming greedy reachability.  Each certificate
+    costs O(m) array work for m points.
     """
     ids = instance.points.points
     index_of = {int(v): i for i, v in enumerate(ids)}
-    complete = _complete_rows(len(ids))
     space, pts = instance.space, instance.points
     expected = len(instance.subtree_leaves) * len(instance.path_leaves)
     certified = 0
@@ -239,7 +241,7 @@ def verify_forced_edges_tree(instance: TreeInstance) -> ForcedEdgeReport:
         row = space.distances(ids, int(v2))
         for v1 in instance.subtree_leaves:
             failure = _forced_edge_failure(
-                space, pts, row, complete, index_of[int(v1)], index_of[int(v2)], int(v2)
+                space, pts, row, index_of[int(v1)], index_of[int(v2)], int(v2)
             )
             if failure is None:
                 certified += 1
@@ -254,15 +256,15 @@ def verify_forced_edges_blocks(instance: BlockInstance) -> ForcedEdgeReport:
     Under the query distance targeting p2, two facts are asserted: p1 is not
     a (1+epsilon)-approximate answer for the query (side > (1+epsilon) *
     (side-1)), and in the complete graph minus the edge (p1, p2) greedy from
-    p1 is stuck, checked both literally and by direct quantification.
-    Inter-block edges are never claimed.
+    p1 is stuck, checked by direct quantification and by a literal run over
+    p1's row alone (see ``_forced_edge_failure``).  Inter-block edges are
+    never claimed.
     """
     n = instance.n
     bs = instance.block_size
     eps = instance.epsilon
     pts = instance.points
     ids = np.arange(n, dtype=np.int64)
-    complete = _complete_rows(n)
     expected = instance.copies * bs * (bs - 1)
     certified = 0
     failures = []
@@ -277,7 +279,7 @@ def verify_forced_edges_blocks(instance: BlockInstance) -> ForcedEdgeReport:
             if not row[p1] > (1.0 + eps) * row[p2]:
                 failure = "start is an approximate answer"
             else:
-                failure = _forced_edge_failure(space, pts, row, complete, p1, p2, q)
+                failure = _forced_edge_failure(space, pts, row, p1, p2, q)
             if failure is None:
                 certified += 1
             else:

@@ -10,9 +10,10 @@ Four metric kinds are supported:
   grid blocks plus one reserved query element whose distances are set
   adversarially around a designated target point.
 
-Every space exposes a scalar ``distance`` and a batch ``distances`` that share
-one code path, so all callers (builders, searchers, verifiers) see bitwise
-identical values for the same pair.
+Every space exposes a scalar ``distance`` and a batch ``distances`` that
+agree bit for bit, so all callers (builders, searchers, verifiers) see
+identical values for the same pair.  The batch is one array pass, ids
+checked included; the scalar stays as its oracle.
 
 ``pairwise_min_distance`` is the one pass that reads a raw coordinate set
 before anything else does, so it enforces the range window (``WINDOW_*``):
@@ -114,6 +115,29 @@ class EuclideanSpace(MetricSpace):
         return arr.shape == (self.dim,) and np.issubdtype(arr.dtype, np.number)
 
 
+def _id_array(elements, stop: int, message: str) -> np.ndarray:
+    """``elements`` as int64 ids in [0, stop), checked in one vectorised pass.
+
+    Fractional, nan and inf ids are rejected before any could be truncated
+    into a valid one, then the first id outside the range;
+    ``message.format(id)`` is the ``DomainError`` text.  An int64 array takes
+    one comparison: viewed unsigned, a negative id lands past 2**63 >= stop.
+    """
+    ids = np.asarray(elements)
+    if ids.dtype == np.int64:
+        bad = ids.view(np.uint64) >= stop
+    else:
+        if ids.dtype.kind not in "iu":
+            f = ids.astype(np.float64)
+            whole = np.isfinite(f) & (np.floor(f) == f)
+            if not whole.all():
+                raise DomainError(message.format(ids[~whole][0].item()))
+        bad = (ids < 0) | (ids >= stop)
+    if bad.any():
+        raise DomainError(message.format(int(ids[bad.argmax()])))
+    return ids.astype(np.int64, copy=False)
+
+
 class TreeMetricSpace(MetricSpace):
     """Leaves of a complete binary tree with level-doubling edge weights.
 
@@ -131,13 +155,16 @@ class TreeMetricSpace(MetricSpace):
     def __init__(self, height: int):
         if height < 1:
             raise DomainError(f"tree height must be >= 1, got {height}")
+        if height > 63:
+            raise DomainError(f"tree height must be <= 63 (leaf ids are int64), got {height}")
         self.height = int(height)
         self.num_leaves = 1 << self.height
+        self._outside = f"leaf id {{!r}} outside [0, {self.num_leaves})"
 
     def _check_leaf(self, a) -> int:
         v = int(a)
         if v != a or not (0 <= v < self.num_leaves):
-            raise DomainError(f"leaf id {a!r} outside [0, {self.num_leaves})")
+            raise DomainError(self._outside.format(a))
         return v
 
     def distance(self, a, b) -> float:
@@ -147,25 +174,19 @@ class TreeMetricSpace(MetricSpace):
         return float(1 << (va ^ vb).bit_length())
 
     def distances(self, elements, x) -> np.ndarray:
+        """2**bit_length(id ^ x) per id, 0 where they are equal.
+
+        frexp gives the bit length of the xor as the exponent of its float,
+        exactly while the xor is below 2**53.  Above that the float can round
+        up to the next power of two, which the shift test undoes.
+        """
         vx = self._check_leaf(x)
-        ids = np.asarray(elements)
-        if ids.dtype.kind not in "iu":
-            # non-integer dtype: reject fractional, nan and inf ids up front,
-            # so that int() below cannot truncate one into a valid leaf
-            f = ids.astype(np.float64)
-            whole = np.isfinite(f) & (np.floor(f) == f)
-            if not whole.all():
-                raise DomainError(
-                    f"leaf id {ids[~whole][0].item()!r} outside [0, {self.num_leaves})"
-                )
-        num_leaves = self.num_leaves
-        out = np.empty(len(elements), dtype=np.float64)
-        for i, e in enumerate(elements):
-            ve = int(e)
-            if not 0 <= ve < num_leaves:
-                raise DomainError(f"leaf id {ve} outside [0, {num_leaves})")
-            out[i] = 0.0 if ve == vx else float(1 << (ve ^ vx).bit_length())
-        return out
+        ids = _id_array(elements, self.num_leaves, self._outside)
+        v = ids ^ vx
+        mantissa, exponent = np.frexp(v.astype(np.float64))
+        if self.height > 53:
+            exponent -= (v >> np.maximum(exponent - 1, 0)) == 0
+        return np.ldexp(np.ceil(mantissa), exponent)  # the mantissa is 0 only at v = 0
 
     def contains(self, x) -> bool:
         try:
@@ -223,11 +244,17 @@ class BlockMetricSpace(MetricSpace):
         self.w_star = np.zeros(self.dim, dtype=np.int64)
         self.w_star[0] = self._blocks[self.p_star] * pitch
         self.declared_doubling_dim = math.log2(1 + 2 ** self.dim)
+        self._outside = f"element id {{!r}} outside [0, {n}]"
+        # every element's distance to q, as the scalar distance's three cases
+        q_row = np.abs(coords - self.w_star).max(axis=1).astype(np.float64)
+        q_row[self._blocks == self._blocks[self.p_star]] = float(self.side)
+        q_row[self.p_star] = float(self.side - 1)
+        self._q_row = np.append(q_row, 0.0)
 
     def _check_id(self, a) -> int:
         v = int(a)
         if v != a or not (0 <= v <= self.n):
-            raise DomainError(f"element id {a!r} outside [0, {self.n}]")
+            raise DomainError(self._outside.format(a))
         return v
 
     def distance(self, a, b) -> float:
@@ -242,8 +269,15 @@ class BlockMetricSpace(MetricSpace):
         return float(np.abs(self.coords[va] - self.coords[vb]).max())
 
     def distances(self, elements, x) -> np.ndarray:
+        """q's precomputed row, or one L-infinity reduction over the gathered rows."""
         vx = self._check_id(x)
-        return np.array([self.distance(int(e), vx) for e in elements], dtype=np.float64)
+        ids = _id_array(elements, self.n + 1, self._outside)
+        if vx == self.query_id:
+            return self._q_row[ids]
+        rows = self.coords.take(ids, axis=0, mode="clip")  # q's slot is set below
+        out = np.abs(rows - self.coords[vx]).max(axis=1).astype(np.float64)
+        out[ids == self.query_id] = self._q_row[vx]
+        return out
 
     def contains(self, x) -> bool:
         try:

@@ -75,6 +75,17 @@ def test_rows_and_edge_codes_build_the_same_graph(n, data):
     assert not g.flat.flags.writeable and not g.out_edges[0].flags.writeable
 
 
+@pytest.mark.parametrize("n, v", [(1, 0), (2, 1), (6, 0), (6, 3), (6, 5)])
+def test_star_graph_equals_its_rows(n, v):
+    row = np.array([t for t in range(n) if t not in (v, (v + 1) % n)], dtype=np.int64)
+    rows = [row.tolist() if u == v else [] for u in range(n)]
+    star = ProximityGraph._star(n, v, row)
+    assert star == ProximityGraph(n, rows)
+    assert [r.tolist() for r in star.out_edges] == rows
+    assert [star.out_degree(u) for u in range(n)] == [len(r) for r in rows]
+    assert not star.flat.flags.writeable and not star.out_edges[v].flags.writeable
+
+
 def test_graph_equality_ignores_meta():
     a = ProximityGraph(3, [[1], [2], []])
     b = ProximityGraph(3, [[1], [2], []])

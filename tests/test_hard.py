@@ -1,5 +1,7 @@
 """Hard instances: generators, forced-edge certification, doubling covers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,44 @@ def test_tree_forced_edges_exact_count():
     report = verify_forced_edges_tree(inst)
     assert report.passed
     assert report.certified == report.expected == 4 * (4 // 2)
+
+
+def test_tree_forced_edges_at_256_leaves():
+    # 256 * floor(16 / 2) certificates, each O(m) for m = 264 points
+    report = verify_forced_edges_tree(gen_tree_instance(256, 2**15))
+    assert report.passed
+    assert report.certified == report.expected == 2048
+
+
+def _complete_graph_verdict(inst, start, target, q):
+    """Stuck or not, by a greedy run over the complete graph minus (start, target)."""
+    m = inst.points.n
+    rows = [[j for j in range(m) if j != i and (i, j) != (start, target)] for i in range(m)]
+    trace = greedy_search(ProximityGraph(m, rows), inst.space, inst.points, start, q)
+    return trace.terminated == "self" and len(trace.hops) == 1
+
+
+def test_tree_certificates_match_the_complete_graph_oracle():
+    # both orientations: subtree leaf toward path leaf is stuck, the reverse
+    # moves at once (a nearer subtree leaf is always left), and the star run
+    # reports what the run over the complete graph minus the edge reports
+    inst = gen_tree_instance(8, 32)
+    index_of = {int(v): i for i, v in enumerate(inst.points.points)}
+    reverse = dataclasses.replace(
+        inst, subtree_leaves=inst.path_leaves, path_leaves=inst.subtree_leaves
+    )
+    forward_report = verify_forced_edges_tree(inst)
+    reverse_report = verify_forced_edges_tree(reverse)
+    assert forward_report.passed and forward_report.certified == 8 * 3
+    assert reverse_report.certified == 0
+    assert reverse_report.expected == 8 * 3
+    assert {f[2] for f in reverse_report.failures} == {"not stuck"}
+    for case, report in ((inst, forward_report), (reverse, reverse_report)):
+        failed = {(v1, v2) for v1, v2, _ in report.failures}
+        for v2 in case.path_leaves.tolist():
+            for v1 in case.subtree_leaves.tolist():
+                stuck = _complete_graph_verdict(case, index_of[v1], index_of[v2], v2)
+                assert stuck == ((v1, v2) not in failed)
 
 
 def test_tree_forced_orientation_is_the_certifying_one():

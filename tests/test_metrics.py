@@ -115,6 +115,78 @@ def test_tree_distances_reject_non_integer_leaf():
     ]
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_tree_batch_scalar_and_path_weight_agree_bitwise(data):
+    height = data.draw(st.integers(1, 63))
+    leaf = st.integers(0, 2**height - 1)
+    ids = data.draw(st.lists(leaf, max_size=40))
+    x = data.draw(leaf)
+    space = TreeMetricSpace(height)
+    batch = space.distances(np.array(ids, dtype=np.int64), x)
+    scalar = np.array([space.distance(a, x) for a in ids], dtype=np.float64)
+    oracle = np.array([space.path_weight_distance(a, x) for a in ids], dtype=np.float64)
+    assert batch.dtype == np.float64
+    assert batch.tobytes() == scalar.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("height", [52, 53, 62, 63])
+def test_tree_batch_is_exact_past_float_precision(height):
+    # xors at or above 2**53 round to floats that can carry them up to the
+    # next power of two; the bit length must still be exact
+    top = 2**height - 1
+    ids = {0, 1, top - 1, top, 2 ** (height - 1) - 1, 2 ** (height - 1)}
+    ids |= {v for v in (2**53 - 1, 2**53, 2**53 + 1, 2**54 - 1) if v <= top}
+    ids = np.array(sorted(ids), dtype=np.int64)
+    space = TreeMetricSpace(height)
+    for x in ids.tolist():
+        batch = space.distances(ids, x)
+        assert batch.tolist() == [space.distance(a, x) for a in ids.tolist()]
+    assert space.distances(np.array([top]), 0)[0] == 2.0**height
+    if height > 54:
+        assert space.distances(np.array([2**54 - 1]), 0)[0] == 2.0**54
+
+
+def test_tree_height_is_capped_at_int64_ids():
+    assert TreeMetricSpace(63).num_leaves == 2**63
+    with pytest.raises(DomainError, match="tree height must be <= 63"):
+        TreeMetricSpace(64)
+    with pytest.raises(DomainError, match="tree height must be >= 1"):
+        TreeMetricSpace(0)
+
+
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([0, -1], "leaf id -1 outside [0, 16)"),
+        (np.array([3, 16]), "leaf id 16 outside [0, 16)"),
+        (np.array([3, 2**40], dtype=np.int64), "leaf id 1099511627776 outside [0, 16)"),
+        ([2.5], "leaf id 2.5 outside [0, 16)"),
+        (np.array([99.0, 0.5]), "leaf id 0.5 outside [0, 16)"),
+        (np.array([0.0, float("nan")]), "leaf id nan outside [0, 16)"),
+        ([float("inf")], "leaf id inf outside [0, 16)"),
+        ([float("-inf")], "leaf id -inf outside [0, 16)"),
+        (np.array([16.0]), "leaf id 16 outside [0, 16)"),
+        (np.array([-3.0]), "leaf id -3 outside [0, 16)"),
+        (np.array([1, 2**64 - 1], dtype=np.uint64), "leaf id 18446744073709551615 outside [0, 16)"),
+        (np.array([1, -2], dtype=np.int8), "leaf id -2 outside [0, 16)"),
+    ],
+)
+def test_tree_batch_error_messages(ids, message):
+    space = TreeMetricSpace(4)
+    with pytest.raises(DomainError) as err:
+        space.distances(ids, 1)
+    assert str(err.value) == message
+
+
+def test_tree_batch_accepts_any_integer_dtype():
+    space = TreeMetricSpace(4)
+    want = space.distances(np.array([0, 5, 15]), 3)
+    for dtype in (np.uint8, np.int16, np.int32, np.uint64, np.float32, object):
+        assert space.distances(np.array([0, 5, 15], dtype=dtype), 3).tobytes() == want.tobytes()
+    assert space.distances([], 3).shape == (0,)
+
+
 # -- block metric -----------------------------------------------------------
 
 
@@ -161,6 +233,37 @@ def test_block_space_rejects_bad_ids():
     space = inst.space_for(0)
     with pytest.raises(DomainError):
         space.distance(0, inst.n + 1)
+
+
+@pytest.mark.parametrize("args", [(3, 2, 2), (2, 1, 1)])
+def test_block_batch_equals_scalar_for_every_pair(args):
+    inst = gen_block_instance(*args)
+    ids = np.arange(inst.n + 1)
+    for p_star in range(inst.n):
+        space = inst.space_for(p_star)
+        for x in ids.tolist():
+            batch = space.distances(ids, x)
+            scalar = np.array([space.distance(a, x) for a in ids.tolist()])
+            assert batch.tobytes() == scalar.tobytes(), (p_star, x)
+            # any order, repeats and the query id mixed in
+            picks = ids[::-1][[0, 2, 2, 1]]
+            assert space.distances(picks, x).tolist() == scalar[picks].tolist()
+
+
+@pytest.mark.parametrize("bad, shown", [("n+1", "5"), (-1, "-1"), (1.5, "1.5")])
+def test_block_batch_rejects_bad_ids_with_the_scalar_message(bad, shown):
+    inst = gen_block_instance(2, 1, 2)
+    bad = inst.n + 1 if bad == "n+1" else bad
+    space = inst.space_for(0)
+    message = f"element id {shown} outside [0, {inst.n}]"
+    for call in (
+        lambda: space.distance(bad, 0),
+        lambda: space.distances([0, bad], 0),
+        lambda: space.distances(np.array([0, bad]), inst.n),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # -- scaled space -----------------------------------------------------------

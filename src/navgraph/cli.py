@@ -1,18 +1,21 @@
 """Command-line surface: generate, build, query, verify, benchmark.
 
 Exit codes: 0 success or verification pass, 1 verification failure, 2 usage
-or input errors.  File-producing commands write ``<out>.manifest.json``
-recording the command, parameters, seeds, input/output digests, timing and a
-result summary; re-running with the manifest's parameters reproduces the
-output files byte for byte (timing aside, manifests are deterministic too).
+or input errors.  File-producing commands other than bench, whose output is
+timings, write ``<out>.manifest.json`` recording the command, parameters,
+seeds, input/output digests, timing and a result summary; re-running with
+the manifest's parameters reproduces the output files byte for byte (timing
+aside, manifests are deterministic too).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import platform
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,15 +44,18 @@ from .metrics import (
     EuclideanSpace,
     PointSet,
     TreeMetricSpace,
+    estimate_extremes,
     pairwise_min_distance,
     verify_triangle,
 )
 from .netpg import (
+    build_net_pg,
     build_net_pg_fast,
     build_net_pg_naive,
     normalize,
     verify_net_pg_properties,
 )
+from .nets import build_net_hierarchy
 from .protocol import standard_query_set
 from .theta import (
     build_theta_graph,
@@ -126,7 +132,7 @@ def cmd_gen(args) -> int:
 
 
 def _build_graph(algo, pts, space, eps, z, seed, repeats):
-    """Shared by cmd_build and cmd_bench; returns (graph, summary dict)."""
+    """The graph cmd_build writes and its manifest summary."""
     if algo in ("net", "net-naive"):
         norm = normalize(space, pts)
         builder = build_net_pg_fast if algo == "net" else build_net_pg_naive
@@ -205,12 +211,17 @@ def cmd_build(args) -> int:
 
 
 def _parse_query(raw: str, pts: PointSet):
-    if pts.is_abstract:
-        return int(raw)
-    vals = [float(tok) for tok in raw.replace(",", " ").split()]
-    if len(vals) != pts.dim:
-        raise DomainError(f"query has {len(vals)} coordinates, points have {pts.dim}")
-    return np.array(vals, dtype=np.float64)
+    """``--q`` in the point-file grammar: d decimal floats, or one integer id."""
+    tokens = raw.replace(",", " ").split()
+    want = 1 if pts.is_abstract else pts.dim
+    if len(tokens) != want:
+        raise DomainError(f"query has {len(tokens)} values, points need {want}")
+    dtype = np.int64 if pts.is_abstract else np.float64
+    try:
+        vals = np.loadtxt([" ".join(tokens)], dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise DomainError(f"--q: {exc}") from exc
+    return int(vals[0]) if pts.is_abstract else vals
 
 
 def cmd_query(args) -> int:
@@ -399,74 +410,219 @@ def cmd_verify_facts(args) -> int:
 # bench
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    algos = [tok.strip() for tok in args.algos.split(",") if tok.strip()]
-    fieldnames = [
-        "n",
-        "eps",
-        "d",
-        "algo",
-        "edges",
-        "build_ms",
-        "mean_hops",
-        "mean_dist_computations",
-        "p99_dist_computations",
-    ]
-    rows = []
-    for n in sizes:
-        rng = np.random.default_rng(args.seed)
-        pts = PointSet(rng.random((n, args.d)))
-        space = EuclideanSpace(args.d)
-        qrng = np.random.default_rng(args.seed + 1)
-        queries = qrng.random((args.queries, args.d))
-        starts = qrng.integers(0, n, size=args.queries)
-        for algo in algos:
-            b0 = time.perf_counter()
-            g, _ = _build_graph(algo, pts, space, args.eps, args.z, args.seed, 1)
-            build_ms = (time.perf_counter() - b0) * 1000.0
-            hops = np.empty(args.queries, dtype=np.int64)
-            comps = np.empty(args.queries, dtype=np.int64)
-            for i in range(args.queries):
-                trace = greedy_search(g, space, pts, int(starts[i]), queries[i])
-                hops[i] = len(trace.hops) - 1
-                comps[i] = trace.distance_computations
-            rows.append(
-                {
-                    "n": n,
-                    "eps": args.eps,
-                    "d": args.d,
-                    "algo": algo,
-                    "edges": g.edge_count,
-                    "build_ms": round(build_ms, 3),
-                    "mean_hops": round(float(hops.mean()), 4),
-                    "mean_dist_computations": round(float(comps.mean()), 2),
-                    "p99_dist_computations": int(np.percentile(comps, 99)),
-                }
-            )
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    parameters = {
-        "sizes": sizes,
-        "algos": algos,
-        "eps": args.eps,
-        "d": args.d,
-        "queries": args.queries,
+#: Rows as (input, n): net builds on 2D Euclidean inputs and on leaves of a
+#: height-20 tree, then forced-edge certificates of gen_tree_instance(n, n*n/2).
+BENCH_ROWS = (
+    ("uniform", 1000),
+    ("uniform", 4000),
+    ("uniform", 16000),
+    ("clustered", 4000),
+    ("tree", 2048),
+    ("tree", 8192),
+    ("forced-tree", 32),
+    ("forced-tree", 256),
+    ("forced-tree", 2048),
+)
+BENCH_TREE_HEIGHT = 20
+BENCH_QUERIES = 1000
+BENCH_ABOUT = (
+    "Rows of navgraph bench. Net rows (eps=1; 2D inputs from default_rng(1), or "
+    "one leaf per subtree of a height-20 tree) time normalize, estimate_extremes, "
+    "build_net_hierarchy, build_net_pg given the hierarchy, save_graph, load_graph "
+    "(in a fresh interpreter; load_added_peak_rss_mb is how far it raises the peak "
+    "RSS, VmHWM, of a process that has only imported navgraph), build_theta_graph "
+    "at eps/32 (2D only), and route: 1000 greedy queries from default_rng(2) with "
+    "their per-query distance computations at p50 and p99. dist_evals are the "
+    "rows given to the space's _pair_distances where it has one, else batch rows "
+    "plus scalar calls; null for theta, which reads no metric space. Forced-tree "
+    "rows time verify_forced_edges_tree. Seconds are the best of 3 runs for "
+    "n <= 4000 and one run above."
+)
+
+#: Run as ``python -c LOAD_CHILD src graph_file``: prints the seconds of one
+#: load_graph and how many MB it raised the process's peak RSS.  The peak is
+#: Linux's VmHWM: a child's ru_maxrss starts from its parent's RSS at the fork.
+LOAD_CHILD = """
+import re, sys, time
+sys.path.insert(0, sys.argv[1])
+import navgraph as ng
+
+def peak_mb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1)) / 1024
+
+base = peak_mb()
+t0 = time.perf_counter()
+ng.load_graph(sys.argv[2])
+print(time.perf_counter() - t0, peak_mb() - base)
+"""
+
+
+def _bench_points(kind: str, n: int) -> np.ndarray:
+    """Uniform points in [0,1]^2, 16 tight Gaussian clusters in it, or tree leaves."""
+    rng = np.random.default_rng(1)
+    if kind == "uniform":
+        return rng.random((n, 2))
+    if kind == "clustered":
+        centres = rng.random((16, 2))
+        return centres[rng.integers(0, 16, n)] + rng.normal(scale=1e-3, size=(n, 2))
+    block = (1 << BENCH_TREE_HEIGHT) // n
+    return np.arange(n) * block + rng.integers(0, block, size=n)
+
+
+def _counting(base):
+    """A subclass of the space class ``base`` that tallies distances in ``evals``.
+
+    Where the space has ``_pair_distances`` every distance goes through it, so
+    its rows are counted; otherwise batch rows plus scalar calls are.
+    """
+
+    class Counting(base):
+        evals = 0
+        if hasattr(base, "_pair_distances"):
+
+            def _pair_distances(self, a, b):
+                out = super()._pair_distances(a, b)
+                self.evals += out.size
+                return out
+
+        else:
+
+            def distance(self, a, b):
+                self.evals += 1
+                return super().distance(a, b)
+
+            def distances(self, elements, x):
+                out = super().distances(elements, x)
+                self.evals += out.size
+                return out
+
+    return Counting
+
+
+def _load_stage(graph_file: Path) -> tuple[float, float]:
+    """Seconds and added peak RSS (MB) of one load_graph in a fresh interpreter.
+
+    The child imports navgraph from the source tree this module came from.
+    """
+    src = str(Path(__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", LOAD_CHILD, src, str(graph_file)],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout.split()
+    return float(out[0]), float(out[1])
+
+
+def _bench_net(kind: str, n: int, repeats: int) -> dict:
+    tree = kind == "tree"
+    pts = PointSet(_bench_points(kind, n))
+    qrng = np.random.default_rng(2)
+    starts = qrng.integers(0, n, size=BENCH_QUERIES).tolist()
+    if tree:
+        space_class, arg = _counting(TreeMetricSpace), BENCH_TREE_HEIGHT
+        queries = qrng.integers(0, 1 << BENCH_TREE_HEIGHT, size=BENCH_QUERIES).tolist()
+    else:
+        space_class, arg = _counting(EuclideanSpace), 2
+        queries = qrng.random((BENCH_QUERIES, 2))
+    best, evals = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file = Path(tmp) / "g.txt"
+        for _ in range(repeats):
+            space = space_class(arg)
+            marks = [(time.perf_counter(), space.evals)]
+
+            def mark(stage):
+                marks.append((time.perf_counter(), space.evals))
+                (t0, e0), (t1, e1) = marks[-2:]
+                best[stage] = min(best.get(stage, float("inf")), t1 - t0)
+                evals[stage] = e1 - e0
+
+            norm = normalize(space, pts)
+            mark("normalize")
+            extremes = estimate_extremes(norm.space, norm.points)
+            mark("extremes")
+            hierarchy = build_net_hierarchy(norm.space, norm.points, extremes)
+            mark("hierarchy")
+            graph = build_net_pg(norm.space, norm.points, 1.0, hierarchy=hierarchy)
+            mark("net_edges")
+            save_graph(graph_file, graph)
+            mark("save")
+            if not tree:
+                theta = build_theta_graph(norm.points, 1.0 / 32.0)
+                mark("theta")
+                evals["theta"] = None
+            # the graph routes on the raw points: net edges are scale-covariant
+            costs = [
+                greedy_search(graph, space, pts, s, q).distance_computations
+                for s, q in zip(starts, queries)
+            ]
+            mark("route")
+        digest = file_digest(graph_file)
+        loads = [_load_stage(graph_file) for _ in range(repeats)]
+    row = {
+        "input": kind,
+        "n": n,
+        "levels": hierarchy.top_level + 1,
+        "edges": graph.edge_count,
+        "graph_sha256": digest,
+        "seconds": dict(
+            {s: round(t, 4) for s, t in best.items()},
+            load=round(min(t for t, _ in loads), 4),
+        ),
+        "load_added_peak_rss_mb": round(min(mb for _, mb in loads), 1),
+        "dist_evals": evals,
+        "query_dist_evals": {
+            f"p{q}": int(np.percentile(costs, q, method="nearest")) for q in (50, 99)
+        },
     }
-    _write_manifest(
-        args.out,
-        "bench",
-        parameters,
-        {"seed": args.seed},
-        [],
-        [args.out],
-        t0,
-        {"rows": len(rows)},
-    )
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    if not tree:
+        row["theta_edges"] = theta.edge_count
+    return row
+
+
+def _bench_forced(n: int, repeats: int) -> dict:
+    inst = gen_tree_instance(n, n * n // 2)
+    seconds = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        report = verify_forced_edges_tree(inst)
+        seconds = min(seconds, time.perf_counter() - t0)
+    return {
+        "input": "forced-tree",
+        "n": n,
+        "expected": report.expected,
+        "certified": report.certified,
+        "seconds": round(seconds, 4),
+    }
+
+
+def cmd_bench(args) -> int:
+    out = Path(args.out)
+    try:
+        doc = json.loads(out.read_text()) if out.exists() else {}
+    except ValueError as exc:
+        raise DomainError(f"{out}: not a JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{out}: not a BENCH JSON object")
+    results = []
+    for kind, n in BENCH_ROWS:
+        if args.max_n is not None and n > args.max_n:
+            continue
+        repeats = 3 if n <= 4000 else 1
+        if kind == "forced-tree":
+            results.append(_bench_forced(n, repeats))
+        else:
+            results.append(_bench_net(kind, n, repeats))
+        print(json.dumps(results[-1]), flush=True)
+    doc["about"] = BENCH_ABOUT
+    doc[args.label] = {
+        "host": f"{platform.machine()}, python {platform.python_version()}, "
+        f"numpy {np.__version__}",
+        "results": results,
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
@@ -582,15 +738,10 @@ def build_parser() -> argparse.ArgumentParser:
     v_facts = vsub.add_parser("facts")
     v_facts.set_defaults(func=cmd_verify_facts)
 
-    bench = sub.add_parser("bench", help="size and query-cost benchmark CSV")
-    bench.add_argument("--sizes", default="250,500,1000,2000")
-    bench.add_argument("--algos", default="net,net-naive,theta,merged")
-    bench.add_argument("--eps", type=float, default=1.0)
-    bench.add_argument("--d", type=int, default=2)
-    bench.add_argument("--z", type=float, default=4.0)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--queries", type=int, default=100)
-    bench.add_argument("--out", required=True)
+    bench = sub.add_parser("bench", help="stage timings into a BENCH JSON file")
+    bench.add_argument("--out", required=True, help="BENCH JSON file to update")
+    bench.add_argument("--label", required=True, help="entry to add or replace")
+    bench.add_argument("--max-n", type=int, default=None, help="skip rows above this n")
     bench.set_defaults(func=cmd_bench)
 
     return parser

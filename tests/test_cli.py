@@ -122,6 +122,20 @@ def test_usage_errors_exit_two(workspace, capsys):
     # a merged build needs at least one draw
     merged = ["build", "merged", "--eps", 1.0, "--in", pts, "--out", tmp / "m.txt"]
     assert run(merged + ["--repeats", 0]) == 2
+    # --q takes the point-file grammar: decimal floats, or one integer id
+    query = ["query", "--graph", graph, "--points", pts]
+    for q, named in (("0.3,abc", "'abc'"), ("1_0 0.5", "'1_0'"), ("0.5", "1 values")):
+        assert run(query + ["--q", q]) == 2
+        assert named in capsys.readouterr().err
+    leaves = tmp / "tree.txt"
+    assert run(["gen", "tree", "--n", 4, "--delta", 8, "--out", leaves]) == 0
+    tree = ["--metric", "tree", "--tree-height", 4]
+    tree_graph = tmp / "tg.txt"
+    assert run(["build", "net", "--eps", 1.0, "--in", leaves, "--out", tree_graph, *tree]) == 0
+    query = ["query", "--graph", tree_graph, "--points", leaves, *tree]
+    for q, named in (("1.5", "'1.5'"), ("1_0", "'1_0'"), ("1 2", "2 values")):
+        assert run(query + ["--q", q]) == 2
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -258,21 +272,27 @@ def test_tree_metric_build_and_verify_via_cli(tmp_path, capsys):
     assert run(["verify", "net-props", "--points", leaves, "--eps", 1.0, *short]) == 2
 
 
-def test_bench_csv_shape(workspace):
-    tmp, pts = workspace
-    out = tmp / "bench.csv"
-    assert run(
-        ["bench", "--sizes", "60,90", "--algos", "net,theta", "--eps", 1.0,
-         "--d", 2, "--queries", 10, "--out", out]
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].split(",") == [
-        "n", "eps", "d", "algo", "edges", "build_ms", "mean_hops",
-        "mean_dist_computations", "p99_dist_computations",
+def test_bench_pins_machine_independent_outputs(tmp_path):
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"before": {"results": []}}))
+    assert run(["bench", "--out", out, "--label", "after", "--max-n", 1000]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"about", "before", "after"}
+    rows = doc["after"]["results"]
+    assert [(r["input"], r["n"]) for r in rows] == [
+        ("uniform", 1000), ("forced-tree", 32), ("forced-tree", 256),
     ]
-    assert len(lines) == 1 + 4
-    rows = [l.split(",") for l in lines[1:]]
-    assert [r[0] for r in rows] == ["60", "60", "90", "90"]
+    net, *forced = rows
+    assert net["graph_sha256"] == (
+        "2af81a1e972b6f2648eee957563d34a71cc66adeffca4323d2116bad458f588a"
+    )
+    assert (net["edges"], net["levels"], net["theta_edges"]) == (179489, 15, 148863)
+    assert net["dist_evals"]["theta"] is None
+    stages = ("normalize", "extremes", "hierarchy", "net_edges")
+    assert [net["dist_evals"][s] for s in stages] == [2006, 3007, 138407, 541026]
+    assert net["query_dist_evals"] == {"p50": 521, "p99": 779}
+    assert set(net["seconds"]) == {*stages, "save", "load", "theta", "route"}
+    assert [(r["certified"], r["expected"]) for r in forced] == [(160, 160), (2048, 2048)]
 
 
 def test_query_trace_file(workspace):

@@ -304,7 +304,7 @@ def cmd_verify_navigable(args) -> int:
             seed=args.seed,
             min_distance=dmin,
         )
-    witness = check_navigable(graph, space, pts, args.eps, queries, threads=args.threads)
+    witness = check_navigable(graph, space, pts, args.eps, queries)
     if witness is None:
         print(f"navigable: pass ({len(queries)} queries, eps={args.eps})")
         return 0
@@ -432,7 +432,9 @@ BENCH_ABOUT = (
     "(in a fresh interpreter; load_added_peak_rss_mb is how far it raises the peak "
     "RSS, VmHWM, of a process that has only imported navgraph), build_theta_graph "
     "at eps/32 (2D only), and route: 1000 greedy queries from default_rng(2) with "
-    "their per-query distance computations at p50 and p99. dist_evals are the "
+    "their per-query distance computations at p50 and p99, and navigable: "
+    "check_navigable of the net graph on those queries, scaled to the normalised "
+    "points (its verdict is the row's navigable field). dist_evals are the "
     "rows given to the space's _pair_distances where it has one, else batch rows "
     "plus scalar calls; null for theta, which reads no metric space. Forced-tree "
     "rows time verify_forced_edges_tree. Seconds are the best of 3 runs for "
@@ -559,6 +561,9 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
                 for s, q in zip(starts, queries)
             ]
             mark("route")
+            scaled = queries if tree else queries * norm.scale
+            witness = check_navigable(graph, norm.space, norm.points, 1.0, scaled)
+            mark("navigable")
         digest = file_digest(graph_file)
         loads = [_load_stage(graph_file) for _ in range(repeats)]
     row = {
@@ -572,6 +577,7 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
             load=round(min(t for t, _ in loads), 4),
         ),
         "load_added_peak_rss_mb": round(min(mb for _, mb in loads), 1),
+        "navigable": witness is None,
         "dist_evals": evals,
         "query_dist_evals": {
             f"p{q}": int(np.percentile(costs, q, method="nearest")) for q in (50, 99)
@@ -694,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     v_nav.add_argument("--seed", type=int, default=0)
     v_nav.add_argument("--n-random", type=int, default=1000)
     v_nav.add_argument("--n-perturbed", type=int, default=500)
-    v_nav.add_argument("--threads", type=int, default=1)
     _add_metric_flags(v_nav)
     v_nav.set_defaults(func=cmd_verify_navigable)
 

@@ -14,6 +14,8 @@ else ``DomainError``.
 ``check_navigable`` is the verification side of the same contract: a graph is
 (1+eps)-navigable for a query iff every vertex either already is a
 (1+eps)-approximate nearest neighbor or has an out-neighbor strictly closer.
+It takes queries in blocks, one distance matrix each, and clears most
+(query, vertex) pairs by a few probe reads; only the rest read the whole row.
 
 A ``ProximityGraph`` stores its adjacency once, as CSR (``flat``,
 ``offsets``).  Builders hand it their edges as sorted codes v * n + t
@@ -26,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._grid import _ranges
 from ._util import DomainError
-from .metrics import MetricSpace, PointSet
+from .metrics import MetricSpace, PointSet, cross_distances
 
 __all__ = [
     "ProximityGraph",
@@ -48,6 +51,11 @@ __all__ = [
 ]
 
 PROVENANCE_TAGS = ("net", "theta", "sampled-net", "merged", "custom")
+
+#: ``check_navigable``'s blocks hold about this many (query, point) distances.
+BLOCK_CELLS = 1 << 13
+#: Out-neighbours read per (query, vertex) pair before its whole row is.
+PROBES = 16
 
 
 class ProximityGraph:
@@ -203,6 +211,12 @@ class SearchTrace:
     @property
     def vertices(self) -> list[int]:
         return [v for v, _ in self.hops]
+
+
+def _check_epsilon(epsilon: float) -> None:
+    """The verifiers' epsilon must be positive and finite."""
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
 
 
 def _check_query_shape(pts: PointSet, q) -> None:
@@ -378,32 +392,31 @@ class NavigabilityWitness:
     best_neighbor_distance: float
 
 
-def _check_one_query(
-    graph: ProximityGraph,
-    space: MetricSpace,
-    pts: PointSet,
-    epsilon: float,
-    q,
-    qi: int,
-) -> Optional[NavigabilityWitness]:
-    flat, offsets = graph.flat, graph.offsets
-    _check_query_shape(pts, q)
-    row = space.distances(pts.points, q)
-    nn_dist = float(row.min())
-    _check_query_distance(nn_dist)
-    threshold = (1.0 + epsilon) * nn_dist
-    best_nbr = segment_min(row[flat], offsets) if len(flat) else np.full(graph.n, np.inf)
-    ok = (row <= threshold) | (best_nbr < row)
-    if ok.all():
+def _block_witness(graph, space, pts, epsilon, probes, block, b0):
+    """The first witness among the queries ``block``, numbered from ``b0``.
+
+    A non-ANN pair is cleared when one of its vertex's ``probes`` is
+    strictly closer; only the others take the minimum over their whole row.
+    Raises ``DomainError`` if any query of the block is out of the domain.
+    """
+    for q in block:
+        _check_query_shape(pts, q)
+    rows = cross_distances(space, block, pts.points)
+    nn = rows.min(axis=1)
+    _check_query_distance(float(nn.max()))  # NaN propagates through max
+    thr = (1.0 + epsilon) * nn
+    closer = (np.take(rows, probes, axis=1) < rows[:, None, :]).any(axis=1)
+    qi, vi = np.nonzero(~(rows <= thr[:, None]) & ~closer)
+    dist = rows[qi, vi]
+    starts, lengths = graph.offsets[vi], np.diff(graph.offsets)[vi]
+    cells = np.repeat(qi * graph.n, lengths) + graph.flat[_ranges(starts, lengths)]
+    best = segment_min(rows.ravel()[cells], np.concatenate([[0], np.cumsum(lengths)]))
+    fails = np.flatnonzero(~(best < dist))
+    if len(fails) == 0:
         return None
-    v = int(np.argmax(~ok))
+    j, q = fails[0], qi[fails[0]]
     return NavigabilityWitness(
-        query_index=qi,
-        query=q,
-        vertex=v,
-        vertex_distance=float(row[v]),
-        ann_threshold=threshold,
-        best_neighbor_distance=float(best_nbr[v]),
+        b0 + int(q), block[q], int(vi[j]), float(dist[j]), float(thr[q]), float(best[j])
     )
 
 
@@ -413,7 +426,6 @@ def check_navigable(
     pts: PointSet,
     epsilon: float,
     queries,
-    threads: int = 1,
 ) -> Optional[NavigabilityWitness]:
     """Verify the navigability disjunction for every (vertex, query) pair.
 
@@ -422,28 +434,29 @@ def check_navigable(
     closer to q.  Returns None on a full pass, otherwise the first witness in
     (query, vertex) scan order.  Queries must come from the space's universe;
     they need not belong to the point set, but a query of the wrong shape or
-    at a non-finite distance raises ``DomainError``.  Safe for concurrent
-    use; with threads > 1 the per-query work is spread over a thread pool.
+    at a non-finite distance raises ``DomainError`` once every query before
+    it has been checked.  Safe for concurrent use.  A query costs n distance
+    evaluations; the answer is the per-query full scan's.
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
     queries = list(queries)
-    if threads <= 1 or len(queries) < 2:
-        for qi, q in enumerate(queries):
-            w = _check_one_query(graph, space, pts, epsilon, q, qi)
-            if w is not None:
-                return w
-        return None
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(
-            lambda item: _check_one_query(graph, space, pts, epsilon, item[1], item[0]),
-            enumerate(queries),
-        )
-        for w in results:
-            if w is not None:
-                return w
+    # probe k of vertex v is flat[off[v] + k*deg[v]//PROBES], or v itself if
+    # deg[v] = 0, which is never strictly closer; probe-major, like the rows
+    deg = np.diff(graph.offsets)
+    pos = graph.offsets[:-1] + np.arange(PROBES)[:, None] * deg // PROBES
+    probes = np.tile(np.arange(graph.n), (PROBES, 1))
+    probes[:, deg > 0] = graph.flat[pos[:, deg > 0]]
+    check = partial(_block_witness, graph, space, pts, epsilon, probes)
+    step = max(1, BLOCK_CELLS // graph.n)
+    for b0 in range(0, len(queries), step):
+        block = queries[b0 : b0 + step]
+        try:
+            witness = check(block, b0)
+        except DomainError:  # redo query by query: those before the bad one go first
+            singles = (check([q], k) for k, q in enumerate(block, b0))
+            witness = next(filter(None, singles), None)
+        if witness is not None:
+            return witness
     return None

@@ -500,7 +500,14 @@ def pairwise_min_distance(space: MetricSpace, pts: PointSet) -> float:
 
 
 def cross_distances(space: MetricSpace, a_elements, b_elements) -> np.ndarray:
-    """Dense |A| x |B| distance matrix, one batch row per element of A."""
+    """Dense |A| x |B| distance matrix: row i is ``space.distances(B, A[i])``, bit for bit.
+
+    One ``_pair_distances`` broadcast where ``distances`` is EuclideanSpace's.
+    """
+    if type(space).distances is EuclideanSpace.distances and len(a_elements):
+        a = np.asarray(a_elements, dtype=np.float64)
+        b = np.asarray(b_elements, dtype=np.float64)
+        return space._pair_distances(b[None], a[:, None])
     out = np.empty((len(a_elements), len(b_elements)), dtype=np.float64)
     for i in range(len(a_elements)):
         out[i] = space.distances(b_elements, a_elements[i])

@@ -22,6 +22,7 @@ import numpy as np
 from ._util import DomainError, ceil_log2
 from .graph import (
     ProximityGraph,
+    _check_epsilon,
     _check_query_distance,
     _check_query_shape,
     _greedy_engine,
@@ -46,6 +47,7 @@ def standard_query_set(
     """Euclidean query battery: the points themselves, uniform box samples,
     and data points jittered by Gaussian noise at scale epsilon * min_distance.
     """
+    _check_epsilon(epsilon)
     if pts.is_abstract:
         raise DomainError("standard_query_set needs coordinate points")
     rng = np.random.default_rng(seed)
@@ -103,8 +105,7 @@ def run_query_protocol(
     ``first_ann_limit`` and ``check_log_drop`` the net-graph trace laws are
     verified per walk against the brute-force nearest neighbor.
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
     queries = list(queries)

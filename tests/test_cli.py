@@ -136,6 +136,14 @@ def test_usage_errors_exit_two(workspace, capsys):
     for q, named in (("1.5", "'1.5'"), ("1_0", "'1_0'"), ("1 2", "2 values")):
         assert run(query + ["--q", q]) == 2
         assert named in capsys.readouterr().err
+    # a non-finite epsilon is a usage error, not a verification failure
+    for eps in ("inf", "nan"):
+        for verify in (
+            ["--graph", graph, "--points", pts],
+            ["--graph", tree_graph, "--points", leaves, *tree],
+        ):
+            assert run(["verify", "navigable", *verify, "--eps", eps]) == 2
+            assert "epsilon must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -291,7 +299,8 @@ def test_bench_pins_machine_independent_outputs(tmp_path):
     stages = ("normalize", "extremes", "hierarchy", "net_edges")
     assert [net["dist_evals"][s] for s in stages] == [2006, 3007, 138407, 541026]
     assert net["query_dist_evals"] == {"p50": 521, "p99": 779}
-    assert set(net["seconds"]) == {*stages, "save", "load", "theta", "route"}
+    assert net["dist_evals"]["navigable"] == 1000 * 1000 and net["navigable"]
+    assert set(net["seconds"]) == {*stages, "save", "load", "theta", "route", "navigable"}
     assert [(r["certified"], r["expected"]) for r in forced] == [(160, 160), (2048, 2048)]
 
 

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from navgraph import (
     DomainError,
     EuclideanSpace,
+    NavigabilityWitness,
     PointSet,
     ProximityGraph,
+    TreeMetricSpace,
     budgeted_query,
+    build_euclid_pg,
     build_net_pg_fast,
     check_navigable,
     graph_stats,
@@ -20,7 +23,9 @@ from navgraph import (
     merge_graphs,
     run_query_protocol,
     segment_min,
+    standard_query_set,
 )
+from navgraph.graph import BLOCK_CELLS, _check_query_distance, _check_query_shape
 from conftest import uniform_points
 
 SPACE1 = EuclideanSpace(1)
@@ -215,15 +220,136 @@ def test_check_navigable_accepts_and_witnesses():
     assert w.best_neighbor_distance == np.inf
 
 
-def test_check_navigable_threads_agree(small_instance):
-    space, pts = small_instance
+def navigability_oracle(graph, space, pts, epsilon, queries):
+    """The definitional check: per query, one distance row and a pass over every edge."""
+    for qi, q in enumerate(queries):
+        _check_query_shape(pts, q)
+        row = space.distances(pts.points, q)
+        nn_dist = float(row.min())
+        _check_query_distance(nn_dist)
+        threshold = (1.0 + epsilon) * nn_dist
+        best_nbr = segment_min(row[graph.flat], graph.offsets)
+        ok = (row <= threshold) | (best_nbr < row)
+        if not ok.all():
+            v = int(np.argmax(~ok))
+            return NavigabilityWitness(
+                qi, q, v, float(row[v]), threshold, float(best_nbr[v])
+            )
+    return None
+
+
+def outcome(check, graph, space, pts, epsilon, queries):
+    """A check's witness as a tuple (its query by identity), or its error message."""
+    try:
+        w = check(graph, space, pts, epsilon, queries)
+    except DomainError as exc:
+        return str(exc)
+    if w is None:
+        return None
+    assert w.query is queries[w.query_index]
+    return (
+        w.query_index, w.vertex, w.vertex_distance, w.ann_threshold,
+        w.best_neighbor_distance,
+    )
+
+
+def assert_matches_oracle(graph, space, pts, epsilon, queries):
+    want = outcome(navigability_oracle, graph, space, pts, epsilon, queries)
+    assert outcome(check_navigable, graph, space, pts, epsilon, queries) == want
+    return want
+
+
+TREE6 = TreeMetricSpace(6)  # points are leaves 0..31; leaf 63 is far from all
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_check_navigable_equals_the_per_query_oracle(data):
+    kind = data.draw(st.sampled_from(["l2", "linf", "tree"]))
+    n = data.draw(st.sampled_from([2, 7, 30] + ([] if kind == "tree" else [700, 3000])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "tree":
+        space, pts = TREE6, PointSet(rng.choice(32, size=n, replace=False))
+        far, near, bad = 63, lambda: int(rng.integers(32)), [[1, 2], 2.5, 64]
+    else:
+        space, pts = EuclideanSpace(2, kind), PointSet(rng.random((n, 2)))
+        far = np.array([1e6, 1e6])  # every vertex is an ANN: passes on any graph
+        near = lambda: rng.random(2) * 1.4 - 0.2
+        bad = [np.array([0.5]), np.array([np.nan, 0.5]), np.array([np.inf, 0.5])]
+    # out-degree k from random targets, some rows emptied; k = 0 is edgeless
+    k = data.draw(st.sampled_from([0, 1, 4, 20]))
+    src = np.repeat(np.arange(n), k)
+    tgt = rng.integers(0, n, size=n * k)
+    keep = (tgt != src) & (rng.random(n) >= data.draw(st.sampled_from([0.0, 0.3])))[src]
+    graph = ProximityGraph.from_codes(n, np.unique(src[keep] * n + tgt[keep]), "custom")
+    block = max(1, BLOCK_CELLS // n)
+    count = data.draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    queries = [far] * max(1, count)
+    ends = [p for p in (block - 1, block, len(queries) - 1) if 0 <= p < len(queries)]
+    position = st.sampled_from(ends) | st.integers(0, len(queries) - 1)
+    for _ in range(data.draw(st.integers(0, 2))):
+        queries[data.draw(position)] = near()
+    if data.draw(st.booleans()):
+        queries[data.draw(position)] = data.draw(st.sampled_from(bad))
+    epsilon = data.draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
+    assert_matches_oracle(graph, space, pts, epsilon, queries)
+
+
+@pytest.mark.parametrize(
+    "layout, want",
+    [
+        ("FFFNFFX", 3),  # a bad query after a witness in its block: the witness
+        ("FFXN", "non-finite"),  # before one: it raises
+        ("F" * 12 + "NF", 12),  # a witness in a later block
+        ("FFFFFN" + "F" * 10 + "X", 5),  # a bad query in a later block
+        ("F" * 15 + "XN", "non-finite"),
+        ("F" * 11, None),
+    ],
+    ids=[
+        "bad-after-witness", "bad-before-witness", "witness-in-later-block",
+        "bad-in-later-block", "bad-before-witness-in-later-block", "one-full-block",
+    ],
+)
+def test_check_navigable_orders_witnesses_and_errors(layout, want):
+    n = 700  # blocks of 11 queries
+    pts = uniform_points(n, 2, 5)
+    far, bad = np.array([1e6, 1e6]), np.array([np.nan, 0.0])
+    queries = [{"F": far, "N": pts.points[0], "X": bad}[c] for c in layout]
+    graph = ProximityGraph.from_codes(n, np.array([], dtype=np.int64), "custom")
+    got = assert_matches_oracle(graph, EuclideanSpace(2), pts, 1.0, queries)
+    if isinstance(want, str):
+        assert want in got
+    else:
+        assert (got and got[0]) == want
+
+
+def test_check_navigable_equals_the_oracle_on_a_merged_graph():
+    """Criterion 6's n=500 merged graph and three copies with edges dropped."""
+    base = build_euclid_pg(uniform_points(500, 2, seed=404), 1.0)
+    npts, nspace = base.meta["points"], base.meta["space"]
+    queries = list(standard_query_set(npts, 1.0, seed=900))
     rng = np.random.default_rng(0)
-    queries = list(rng.random((8, 2)) * 100.0)
-    g = ProximityGraph(pts.n, [[] for _ in range(pts.n)])
-    w1 = check_navigable(g, space, pts, 0.5, queries, threads=1)
-    w4 = check_navigable(g, space, pts, 0.5, queries, threads=4)
-    assert w1 == w4  # same first witness in scan order
-    assert w1 is not None
+    keys = base.edge_keys().astype(np.int64)
+    graphs = [base] + [
+        ProximityGraph.from_codes(500, keys[rng.random(len(keys)) >= frac], "custom")
+        for frac in (0.001, 0.01, 0.1)
+    ]
+    outcomes = [assert_matches_oracle(g, nspace, npts, 1.0, queries) for g in graphs]
+    assert outcomes[0] is None and all(isinstance(o, tuple) for o in outcomes[1:])
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, 0.0, -1.0])
+def test_verifiers_reject_epsilon_outside_the_domain(small_instance, epsilon):
+    space, pts = small_instance
+    edgeless = ProximityGraph.from_codes(pts.n, np.array([], dtype=np.int64), "custom")
+    entries = [
+        lambda: check_navigable(edgeless, space, pts, epsilon, [pts.points[0]]),
+        lambda: run_query_protocol(edgeless, space, pts, epsilon, [pts.points[0]]),
+        lambda: standard_query_set(pts, epsilon),
+    ]
+    for entry in entries:
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            entry()
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -259,7 +385,7 @@ def test_routing_entries_reject_out_of_domain_query(small_instance, q, problem):
         lambda: budgeted_query(g, space, pts, 0, q, 5),
         lambda: jackpot_query(g, space, pts, 0, q, [1, 2], 8.0),
         lambda: check_navigable(g, space, pts, 1.0, [q]),
-        lambda: check_navigable(g, space, pts, 1.0, [pts.points[0], q], threads=2),
+        lambda: check_navigable(g, space, pts, 1.0, [pts.points[0], q]),
         lambda: run_query_protocol(g, space, pts, 1.0, [q], starts_per_query=2),
         lambda: jackpot_condition_check(g, space, pts, q, [1, 2], 8.0),
     ]

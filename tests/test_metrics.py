@@ -430,6 +430,21 @@ def test_cross_distances_shape_and_values():
     assert d[1, 2] == 1.0
 
 
+#: Coordinates across the range window: magnitudes from 2^-500 to 2^500.
+window_coord = st.builds(np.ldexp, st.floats(-1.999, 1.999), st.integers(-500, 499))
+
+
+@given(st.integers(1, 3), st.sampled_from(["l2", "linf"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_cross_distances_broadcast_equals_the_rows(d, norm, data):
+    space = EuclideanSpace(d, norm)
+    point_lists = st.lists(st.lists(window_coord, min_size=d, max_size=d), min_size=1, max_size=6)
+    a = np.array(data.draw(point_lists), dtype=np.float64)
+    b = np.array(data.draw(point_lists), dtype=np.float64)
+    rows = np.array([space.distances(b, x) for x in a])
+    assert cross_distances(space, a, b).tobytes() == rows.tobytes()  # bit for bit
+
+
 def test_estimate_extremes_brackets_truth():
     rng = np.random.default_rng(4)
     pts = PointSet(rng.random((80, 2)))

@@ -116,6 +116,9 @@ def cmd_gen(args) -> int:
         summary = {"points": inst.n, "epsilon": inst.epsilon}
         parameters = {"kind": "blocks", "s": args.s, "t": args.t, "d": args.d}
     else:
+        for name, count in (("--n", args.n), ("--d", args.d)):
+            if count < 1:
+                raise DomainError(f"{name} must be >= 1, got {count}")
         rng = np.random.default_rng(args.seed)
         pts = PointSet(rng.random((args.n, args.d)))
         save_points(args.out, pts)
@@ -431,14 +434,15 @@ BENCH_ABOUT = (
     "build_net_hierarchy, build_net_pg given the hierarchy, save_graph, load_graph "
     "(in a fresh interpreter; load_added_peak_rss_mb is how far it raises the peak "
     "RSS, VmHWM, of a process that has only imported navgraph), build_theta_graph "
-    "at eps/32 (2D only), and route: 1000 greedy queries from default_rng(2) with "
-    "their per-query distance computations at p50 and p99, and navigable: "
+    "at eps/32 (2D only), route: 1000 greedy queries from default_rng(2) with "
+    "their per-query distance computations at p50 and p99, navigable: "
     "check_navigable of the net graph on those queries, scaled to the normalised "
-    "points (its verdict is the row's navigable field). dist_evals are the "
-    "rows given to the space's _pair_distances where it has one, else batch rows "
-    "plus scalar calls; null for theta, which reads no metric space. Forced-tree "
-    "rows time verify_forced_edges_tree. Seconds are the best of 3 runs for "
-    "n <= 4000 and one run above."
+    "points (its verdict is the row's navigable field), and net_props: "
+    "verify_net_pg_properties of the net graph (its verdict is the row's net_props "
+    "field). dist_evals are the rows given to the space's _pair_distances where it "
+    "has one, else batch rows plus scalar calls; null for theta, which reads no "
+    "metric space. Forced-tree rows time verify_forced_edges_tree. Seconds are the "
+    "best of 3 runs for n <= 4000 and one run above."
 )
 
 #: Run as ``python -c LOAD_CHILD src graph_file``: prints the seconds of one
@@ -564,6 +568,8 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
             scaled = queries if tree else queries * norm.scale
             witness = check_navigable(graph, norm.space, norm.points, 1.0, scaled)
             mark("navigable")
+            violation = verify_net_pg_properties(norm.space, norm.points, graph)
+            mark("net_props")
         digest = file_digest(graph_file)
         loads = [_load_stage(graph_file) for _ in range(repeats)]
     row = {
@@ -578,6 +584,7 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
         ),
         "load_added_peak_rss_mb": round(min(mb for _, mb in loads), 1),
         "navigable": witness is None,
+        "net_props": violation is None,
         "dist_evals": evals,
         "query_dist_evals": {
             f"p{q}": int(np.percentile(costs, q, method="nearest")) for q in (50, 99)

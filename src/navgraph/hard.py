@@ -127,6 +127,12 @@ class DoublingReport:
         return self.successes == self.trials and not self.failures
 
 
+def _require_samples(samples: int) -> None:
+    # zero trials would report every sampled ball covered, vacuously
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+
+
 def _require_power_of_two(value: int, name: str) -> None:
     if value < 1 or value & (value - 1):
         raise DomainError(f"{name} must be a power of two, got {value}")
@@ -319,6 +325,7 @@ def check_tree_doubling(
     structural interval identity of the ball, and verifies exhaustively that
     the recipe's centers cover it at half radius.
     """
+    _require_samples(samples)
     rng = np.random.default_rng(seed)
     two_delta = 2 * instance.delta
     extra = rng.integers(0, two_delta, size=512, dtype=np.int64)
@@ -469,6 +476,7 @@ def check_block_doubling(
     builds the cover from ``block_ball_cover`` and verifies exhaustively that
     every universe element of the ball lands in some cover ball.
     """
+    _require_samples(samples)
     n = instance.n
     space = instance.space_for(p_star)
     elements = np.arange(n + 1, dtype=np.int64)

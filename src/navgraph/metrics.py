@@ -25,7 +25,6 @@ the grid builders' part of the window: normalised cell indices fit in int64.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,18 +55,12 @@ class MetricSpace:
     """Base class for metric spaces over a fixed element universe."""
 
     kind: str = "abstract"
-    #: Doubling dimension promised by the construction, if any. Declared, not
-    #: computed; the doubling checkers verify it constructively on samples.
-    declared_doubling_dim: Optional[float] = None
 
     def distance(self, a, b) -> float:
         raise NotImplementedError
 
     def distances(self, elements, x) -> np.ndarray:
         """Distances from each row/id in ``elements`` to the single element ``x``."""
-        raise NotImplementedError
-
-    def contains(self, x) -> bool:
         raise NotImplementedError
 
 
@@ -110,10 +103,6 @@ class EuclideanSpace(MetricSpace):
             )
         return float(self.distances(a[None, :], b)[0])
 
-    def contains(self, x) -> bool:
-        arr = np.asarray(x)
-        return arr.shape == (self.dim,) and np.issubdtype(arr.dtype, np.number)
-
 
 def _id_array(elements, stop: int, message: str) -> np.ndarray:
     """``elements`` as int64 ids in [0, stop), checked in one vectorised pass.
@@ -150,7 +139,6 @@ class TreeMetricSpace(MetricSpace):
     """
 
     kind = "tree-metric"
-    declared_doubling_dim = 1.0
 
     def __init__(self, height: int):
         if height < 1:
@@ -187,13 +175,6 @@ class TreeMetricSpace(MetricSpace):
         if self.height > 53:
             exponent -= (v >> np.maximum(exponent - 1, 0)) == 0
         return np.ldexp(np.ceil(mantissa), exponent)  # the mantissa is 0 only at v = 0
-
-    def contains(self, x) -> bool:
-        try:
-            self._check_leaf(x)
-            return True
-        except (DomainError, TypeError):
-            return False
 
     def path_weight_distance(self, a, b) -> float:
         """Independent oracle: sum edge weights along the leaf-to-leaf path."""
@@ -243,7 +224,6 @@ class BlockMetricSpace(MetricSpace):
         self._blocks = coords[:, 0] // pitch
         self.w_star = np.zeros(self.dim, dtype=np.int64)
         self.w_star[0] = self._blocks[self.p_star] * pitch
-        self.declared_doubling_dim = math.log2(1 + 2 ** self.dim)
         self._outside = f"element id {{!r}} outside [0, {n}]"
         # every element's distance to q, as the scalar distance's three cases
         q_row = np.abs(coords - self.w_star).max(axis=1).astype(np.float64)
@@ -279,13 +259,6 @@ class BlockMetricSpace(MetricSpace):
         out[ids == self.query_id] = self._q_row[vx]
         return out
 
-    def contains(self, x) -> bool:
-        try:
-            self._check_id(x)
-            return True
-        except (DomainError, TypeError):
-            return False
-
 
 class ScaledSpace(MetricSpace):
     """A metric space with all distances multiplied by a positive factor.
@@ -299,16 +272,12 @@ class ScaledSpace(MetricSpace):
         self.base = base
         self.factor = float(factor)
         self.kind = base.kind
-        self.declared_doubling_dim = base.declared_doubling_dim
 
     def distance(self, a, b) -> float:
         return self.factor * self.base.distance(a, b)
 
     def distances(self, elements, x) -> np.ndarray:
         return self.factor * self.base.distances(elements, x)
-
-    def contains(self, x) -> bool:
-        return self.base.contains(x)
 
 
 class PointSet:

@@ -3,17 +3,20 @@
 The edge rule: after normalizing the point set so its minimum inter-point
 distance is 2, build nets Y_0..Y_h at radii 2^0..2^h and connect each point p
 to every net point y in Y_i with D(p, y) <= reach_factor * 2^i, at every
-level, deduplicated.  The reach factor grows as Theta(1/epsilon) and the
-resulting graph is (1+epsilon)-navigable for every query in the metric space.
+level.  The reach grows with i, so the union is one test per pair:
+D(p, y) <= reach_factor * 2^top(y), top(y) being the highest level holding y
+(a point in no level gets no in-edges).  The reach factor grows as
+Theta(1/epsilon) and the graph is (1+epsilon)-navigable for every query.
 
-Two builders produce byte-identical adjacency:
+Two builders produce byte-identical adjacency, deciding each pair once:
 
-* ``build_net_pg_naive`` evaluates the edge rule literally with one distance
-  row per (point, level).  It is the oracle, and on abstract metrics, where
-  no coordinates exist to bucket, it is also the production path.
-* ``build_net_pg_fast`` collects each level's balls for coordinate inputs
-  through one static grid of cell side reach_factor * 2^i, so only the 3^d
-  cells around a point are scanned; abstract inputs go to the naive rule.
+* ``build_net_pg_naive`` takes one distance row per point.  It is the
+  oracle, and on abstract metrics, where no coordinates exist to bucket, it
+  is also the production path.
+* ``build_net_pg_fast`` collects, for coordinate inputs, the balls of each
+  top level's points through one static grid of cell side
+  reach_factor * 2^level, so only the 3^d cells around a point are scanned;
+  abstract inputs go to the naive rule.
 """
 
 from __future__ import annotations
@@ -126,10 +129,18 @@ def normalize(space: MetricSpace, pts: PointSet) -> NormalizedInput:
     return NormalizedInput(space=space, points=PointSet(points), scale=scale)
 
 
-def _level_threshold(phi: float, level: int) -> float:
-    # phi = 1 + 2^(eta+1), so phi * 2^level = 2^level + 2^(eta+1+level):
-    # a sum of two exact powers of two, hence exact in float64.
-    return phi * float(2.0 ** level)
+def _level_threshold(phi: float, level):
+    # phi * 2^level for a level or an array of them: ldexp only moves phi's
+    # exponent, so the threshold is exact in float64.
+    return np.ldexp(phi, level)
+
+
+def _top_levels(hierarchy: NetHierarchy, n: int) -> np.ndarray:
+    """The highest level whose net holds each point, -1 for a point in none."""
+    top = np.full(n, -1, dtype=np.int64)
+    for level in range(hierarchy.top_level + 1):
+        top[hierarchy.members(level)] = level
+    return top
 
 
 def build_net_pg_naive(
@@ -138,26 +149,26 @@ def build_net_pg_naive(
     epsilon: float,
     hierarchy: Optional[NetHierarchy] = None,
 ) -> ProximityGraph:
-    """Evaluate the edge rule literally, one distance row per (point, level).
+    """Evaluate the per-pair edge rule, one distance row per point.
 
-    Requires a normalized point set (minimum inter-point distance 2); raises
-    a domain error otherwise.  The returned graph carries the hierarchy and
-    parameters in ``meta`` for downstream structure checks.
+    Point p gets every y != p with D(p, y) <= reach_factor * 2^top(y).  Each
+    pair is measured once and the rows come out ascending, so nothing is
+    sorted or deduplicated.  Requires a normalized point set (minimum
+    inter-point distance 2); raises a domain error otherwise.  The returned
+    graph carries the hierarchy and parameters in ``meta`` for downstream
+    structure checks.
     """
     if hierarchy is None:
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon, hierarchy)
     n = pts.n
+    top = _top_levels(hierarchy, n)
+    reach = np.where(top >= 0, _level_threshold(params.reach_factor, top), -np.inf)
     codes = []
-    for level in range(hierarchy.top_level + 1):
-        members = hierarchy.members(level)
-        member_pts = pts.points[members]
-        thr = _level_threshold(params.reach_factor, level)
-        for p in range(n):
-            row = space.distances(member_pts, pts.points[p])
-            hits = members[row <= thr]
-            codes.append(p * n + hits[hits != p])
-    g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
+    for p in range(n):
+        hits = np.flatnonzero(space.distances(pts.points, pts.points[p]) <= reach)
+        codes.append(p * n + hits[hits != p])
+    g = ProximityGraph.from_codes(n, np.concatenate(codes), "net")
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 
@@ -197,12 +208,13 @@ def build_net_pg_fast(
 ) -> ProximityGraph:
     """Production builder; byte-identical adjacency to the naive builder.
 
-    Coordinate inputs collect each level's balls through a static grid,
+    Coordinate inputs group the targets by top level and collect each
+    group's balls of radius reach_factor * 2^level through a static grid,
     measuring the candidate pairs of many points per batch, which amortizes
     the per-point overhead that dominates the row-per-point rule at desk
-    scale.  Abstract metrics have no coordinates to bucket, and the
-    definitional rule is the fastest correct path there, so they get
-    ``build_net_pg_naive``.
+    scale; each (p, y) pair is decided once, in y's group.  Abstract metrics
+    have no coordinates to bucket, and the definitional rule is the fastest
+    correct path there, so they get ``build_net_pg_naive``.
     """
     if pts.is_abstract or not isinstance(space, EuclideanSpace):
         return build_net_pg_naive(space, pts, epsilon, hierarchy)
@@ -210,12 +222,13 @@ def build_net_pg_fast(
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon, hierarchy)
     n = pts.n
-    codes = []
-    for level in range(hierarchy.top_level + 1):
-        members = hierarchy.members(level)
+    top = _top_levels(hierarchy, n)
+    codes = [np.empty(0, dtype=np.int64)]
+    for level in np.unique(top[top >= 0]):
         thr = _level_threshold(params.reach_factor, level)
-        balls = _level_balls_grid(space, pts, members, thr)
+        balls = _level_balls_grid(space, pts, np.flatnonzero(top == level), thr)
         codes.append(balls[balls // n != balls % n])
+    # wrapped cell numbers (see ``_grid``) can yield a pair twice
     g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g

@@ -50,6 +50,9 @@ def standard_query_set(
     _check_epsilon(epsilon)
     if pts.is_abstract:
         raise DomainError("standard_query_set needs coordinate points")
+    for name, count in (("n_random", n_random), ("n_perturbed", n_perturbed)):
+        if count < 0:
+            raise DomainError(f"{name} must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     p = pts.points
     lo, hi = p.min(axis=0), p.max(axis=0)

@@ -144,6 +144,21 @@ def test_usage_errors_exit_two(workspace, capsys):
         ):
             assert run(["verify", "navigable", *verify, "--eps", eps]) == 2
             assert "epsilon must be positive and finite" in capsys.readouterr().err
+    # negative or empty counts are usage errors that name the argument
+    out = ["--out", tmp / "u.txt"]
+    verify = ["verify", "navigable", "--graph", graph, "--points", pts, "--eps", 1.0]
+    doubling = ["verify", "doubling", "--samples", 0, "--family"]
+    for argv, named in (
+        (["gen", "uniform", "--n", -1, "--d", 2, *out], "--n must be >= 1, got -1"),
+        (["gen", "uniform", "--n", 5, "--d", -1, *out], "--d must be >= 1, got -1"),
+        (["gen", "uniform", "--n", 5, "--d", 0, *out], "--d must be >= 1, got 0"),
+        ([*verify, "--n-random", -1], "n_random must be >= 0, got -1"),
+        ([*verify, "--n-perturbed", -1], "n_perturbed must be >= 0, got -1"),
+        ([*doubling, "tree"], "samples must be >= 1, got 0"),
+        ([*doubling, "blocks"], "samples must be >= 1, got 0"),
+    ):
+        assert run(argv) == 2, argv
+        assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -297,10 +312,13 @@ def test_bench_pins_machine_independent_outputs(tmp_path):
     assert (net["edges"], net["levels"], net["theta_edges"]) == (179489, 15, 148863)
     assert net["dist_evals"]["theta"] is None
     stages = ("normalize", "extremes", "hierarchy", "net_edges")
-    assert [net["dist_evals"][s] for s in stages] == [2006, 3007, 138407, 541026]
+    assert [net["dist_evals"][s] for s in stages] == [2006, 3007, 138407, 323546]
     assert net["query_dist_evals"] == {"p50": 521, "p99": 779}
     assert net["dist_evals"]["navigable"] == 1000 * 1000 and net["navigable"]
-    assert set(net["seconds"]) == {*stages, "save", "load", "theta", "route", "navigable"}
+    assert net["dist_evals"]["net_props"] == 8140566 and net["net_props"]
+    assert set(net["seconds"]) == {
+        *stages, "save", "load", "theta", "route", "navigable", "net_props"
+    }
     assert [(r["certified"], r["expected"]) for r in forced] == [(160, 160), (2048, 2048)]
 
 

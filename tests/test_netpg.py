@@ -22,6 +22,7 @@ from navgraph import (
     pg_params,
     verify_net_pg_properties,
 )
+from navgraph.graph import sorted_distinct
 from navgraph.netpg import _level_balls_grid, _level_threshold
 from conftest import normalized_instance, uniform_points
 
@@ -29,6 +30,26 @@ from conftest import normalized_instance, uniform_points
 def hierarchy_for(n, d, seed, norm="l2"):
     space, pts = normalized_instance(n, d, seed, norm=norm)
     return space, pts, build_net_hierarchy(space, pts)
+
+
+def per_level_oracle(space, pts, epsilon, hierarchy):
+    """The edge rule as the paper states it: every level, then deduplicated.
+
+    One distance row per (point, level) against that level's members within
+    reach_factor * 2^level; the builders decide each pair once instead.
+    """
+    params = pg_params(epsilon, hierarchy)
+    n = pts.n
+    codes = []
+    for level in range(hierarchy.top_level + 1):
+        members = hierarchy.members(level)
+        member_pts = pts.points[members]
+        thr = _level_threshold(params.reach_factor, level)
+        for p in range(n):
+            row = space.distances(member_pts, pts.points[p])
+            hits = members[row <= thr]
+            codes.append(p * n + hits[hits != p])
+    return ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
 
 
 def test_construction_constants_frozen_table():
@@ -105,6 +126,71 @@ def test_fast_equals_naive_abstract_tree_metric():
     fast = build_net_pg_fast(norm.space, norm.points, 1.0)
     naive = build_net_pg_naive(norm.space, norm.points, 1.0)
     assert fast == naive
+
+
+def _corrupt(h, data):
+    """``h`` unchanged, or with one level's members thinned, copied from the
+    level below, or duplicated; levels keep their radii."""
+    kind = data.draw(st.sampled_from(["none", "drop", "below", "duplicate"]))
+    level = data.draw(st.integers(0 if kind != "below" else 1, h.top_level))
+    members = h.members(level)
+    if kind == "drop":
+        keep = st.lists(st.booleans(), min_size=len(members), max_size=len(members))
+        members = members[np.array(data.draw(keep), dtype=bool)]
+    elif kind == "below":
+        members = h.members(level - 1)
+    elif kind == "duplicate":
+        repeats = members[: data.draw(st.integers(1, 5))]
+        members = np.sort(np.concatenate([members, repeats]))
+    levels = list(h.levels)
+    levels[level] = Net(radius=levels[level].radius, members=members)
+    return dataclasses.replace(h, levels=tuple(levels))
+
+
+@given(
+    st.sampled_from(["l2-1", "l2-2", "l2-3", "linf-1", "linf-2", "linf-3", "tree"]),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+    st.integers(10, 60),
+    st.sampled_from([1.0, 0.5, 0.25]),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_builders_equal_per_level_oracle(metric, lattice, seed, n, eps, data):
+    # the per-pair rule, D(p, y) <= phi * 2^top(y), is the union over levels
+    # on any hierarchy, including ones a verifier may be handed
+    rng = np.random.default_rng(seed)
+    if metric == "tree":
+        ids = rng.choice(2**7, size=n, replace=False)
+        norm = normalize(TreeMetricSpace(7), PointSet(ids))
+        space, pts = norm.space, norm.points
+    elif lattice:
+        # even integer coordinates with a pair at distance 2: distances equal
+        # to a reach phi * 2^i occur, so the <= of the rule is exercised
+        norm_name, d = metric.split("-")
+        d = int(d)
+        side = {1: 64, 2: 10, 3: 5}[d]
+        cells = np.vstack([np.zeros((1, d)), np.eye(1, d), rng.integers(0, side, (n, d))])
+        space = EuclideanSpace(d, norm=norm_name)
+        pts = PointSet(2.0 * np.unique(cells, axis=0))
+    else:
+        norm_name, d = metric.split("-")
+        space, pts = normalized_instance(n, int(d), seed, norm=norm_name)
+    h = _corrupt(build_net_hierarchy(space, pts), data)
+    want = per_level_oracle(space, pts, eps, h)
+    assert build_net_pg_naive(space, pts, eps, hierarchy=h) == want
+    assert build_net_pg_fast(space, pts, eps, hierarchy=h) == want
+
+
+def test_point_in_no_level_gets_no_in_edges():
+    space, pts, h = hierarchy_for(40, 2, 3)
+    levels = [Net(radius=net.radius, members=net.members[net.members != 7]) for net in h.levels]
+    bad = dataclasses.replace(h, levels=tuple(levels))
+    for build in (build_net_pg_naive, build_net_pg_fast):
+        g = build(space, pts, 1.0, hierarchy=bad)
+        assert g == per_level_oracle(space, pts, 1.0, bad)
+        assert not any(7 in row for row in g.out_edges)
+        assert len(g.out_edges[7]) > 0
 
 
 def test_batched_collector_matches_linear_scan():

@@ -50,8 +50,6 @@ from .metrics import (
 )
 from .netpg import (
     build_net_pg,
-    build_net_pg_fast,
-    build_net_pg_naive,
     normalize,
     verify_net_pg_properties,
 )
@@ -136,10 +134,9 @@ def cmd_gen(args) -> int:
 
 def _build_graph(algo, pts, space, eps, z, seed, repeats):
     """The graph cmd_build writes and its manifest summary."""
-    if algo in ("net", "net-naive"):
+    if algo == "net":
         norm = normalize(space, pts)
-        builder = build_net_pg_fast if algo == "net" else build_net_pg_naive
-        g = builder(norm.space, norm.points, eps)
+        g = build_net_pg(norm.space, norm.points, eps)
         params = g.meta["params"]
         summary = {
             "edges": g.edge_count,
@@ -159,22 +156,18 @@ def _build_graph(algo, pts, space, eps, z, seed, repeats):
             "cones": len(g.meta["family"]),
         }
         return g, summary
-    if algo == "merged":
-        g = build_euclid_pg(
-            pts, eps, space=space, rate_constant=z, seed=seed, repeats=repeats
-        )
-        summary = {
-            "edges": g.edge_count,
-            "tau": g.meta["config"].keep_probability,
-            "jackpots": len(g.meta["jackpots"]),
-            "aspect_ratio": g.meta["aspect_ratio"],
-            "net_edges": g.meta["g_net"].edge_count,
-            "geo_edges": g.meta["g_geo"].edge_count,
-            "run_sizes": [[s, e] for s, e in g.meta["run_sizes"]],
-            "chosen_seed": g.meta["config"].seed,
-        }
-        return g, summary
-    raise DomainError(f"unknown algorithm {algo!r}")
+    g = build_euclid_pg(pts, eps, space=space, rate_constant=z, seed=seed, repeats=repeats)
+    summary = {
+        "edges": g.edge_count,
+        "tau": g.meta["config"].keep_probability,
+        "jackpots": len(g.meta["jackpots"]),
+        "aspect_ratio": g.meta["aspect_ratio"],
+        "net_edges": g.meta["g_net"].edge_count,
+        "geo_edges": g.meta["g_geo"].edge_count,
+        "run_sizes": [[s, e] for s, e in g.meta["run_sizes"]],
+        "chosen_seed": g.meta["config"].seed,
+    }
+    return g, summary
 
 
 def cmd_build(args) -> int:
@@ -325,7 +318,7 @@ def cmd_verify_net_props(args) -> int:
     pts = load_points(args.points)
     space = _space_for(pts, args.metric, args.tree_height)
     norm = normalize(space, pts)
-    g = build_net_pg_fast(norm.space, norm.points, args.eps)
+    g = build_net_pg(norm.space, norm.points, args.eps)
     violation = verify_net_pg_properties(norm.space, norm.points, g)
     if violation is None:
         print(f"net-props: pass ({g.n} vertices, {g.edge_count} edges)")
@@ -676,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_uniform.set_defaults(kind="uniform")
 
     build = sub.add_parser("build", help="build a proximity graph")
-    build.add_argument("algo", choices=["net", "net-naive", "theta", "merged"])
+    build.add_argument("algo", choices=["net", "theta", "merged"])
     build.add_argument("--eps", type=float, required=True)
     build.add_argument("--in", dest="points", required=True)
     build.add_argument("--out", required=True)

@@ -34,7 +34,6 @@ from .metrics import (
     MetricSpace,
     PointSet,
     ScaledSpace,
-    cross_distances,
     pairwise_min_distance,
 )
 from .nets import NetHierarchy, build_net_hierarchy
@@ -240,7 +239,7 @@ build_net_pg = build_net_pg_fast
 
 @dataclass(frozen=True)
 class NetPGViolation:
-    """First point where a graph deviates from the level edge rule."""
+    """First point where the levels are not nets or the graph breaks the edge rule."""
 
     kind: str
     vertex: int
@@ -255,19 +254,22 @@ def verify_net_pg_properties(
     hierarchy: Optional[NetHierarchy] = None,
     params: Optional[PGParams] = None,
 ) -> Optional[NetPGViolation]:
-    """Check the level edge groups and that the graph matches the edge rule.
+    """Check that each level is a net and that the graph obeys the edge rule.
 
-    For every vertex p and level i the group is the net members within
-    reach_factor * 2^i of p (p excluded).  Checks: group members pairwise at
-    least 2^i apart, p's out-neighbors equal those of ``build_net_pg_naive``
-    exactly, and every vertex keeps out-degree >= 1.  Returns the first
-    violation or None.  Hierarchy and parameters default to the graph's
-    build metadata; parameters must be the ones their epsilon gives.
+    In order: each level Y_i, ascending, is 2^i-separated (else
+    ``level-separation`` at the smallest member with a co-member closer than
+    2^i or listed twice) and 2^i-covering (else ``level-covering`` at the
+    smallest point with no member within 2^i); then, vertex by vertex, p has
+    an out-edge (``isolated-vertex``) and ``build_net_pg_naive``'s
+    out-neighbors (``edge-set-mismatch``).  Returns the first violation or
+    None.  All exact: a member y of Y_i reaches reach_factor * 2^top(y) >=
+    9 * 2^i, so every point within 2^i of y has an oracle edge to it, each
+    edge is measured once, and each level's verdict is ``verify_r_net``'s.
+    Hierarchy and parameters default to the graph's build metadata;
+    parameters must be the ones their epsilon gives.
     """
     if hierarchy is None:
-        hierarchy = graph.meta.get("hierarchy")
-        if hierarchy is None:
-            hierarchy = build_net_hierarchy(space, pts)
+        hierarchy = graph.meta.get("hierarchy") or build_net_hierarchy(space, pts)
     if params is None:
         params = graph.meta.get("params")
         if params is None:
@@ -281,34 +283,34 @@ def verify_net_pg_properties(
             f"{params.epsilon}, which gives {expected_phi}"
         )
     n = pts.n
+    oracle = build_net_pg_naive(space, pts, params.epsilon, hierarchy=hierarchy)
+    want = oracle.out_edges
+    src = np.repeat(np.arange(n), np.diff(oracle.offsets))
+    length = np.concatenate(
+        [space.distances(pts.points[row], pts.points[p]) for p, row in enumerate(want)]
+    )
     for level in range(hierarchy.top_level + 1):
-        members = hierarchy.members(level)
-        member_pts = pts.points[members]
-        sep = float(2.0 ** level)
-        pairs = [
-            (j, k)
-            for j in range(len(members))
-            for k in np.flatnonzero(space.distances(member_pts, member_pts[j]) < sep)
-            if k != j
-        ]
-        if not pairs:
-            continue
-        # a close pair violates the level at the first vertex whose group
-        # holds both of its points
-        involved, local = np.unique(np.array(pairs), return_inverse=True)
-        local = local.reshape(-1, 2)
-        thr = _level_threshold(params.reach_factor, level)
-        in_group = cross_distances(space, pts.points, member_pts[involved]) <= thr
-        in_group[members[involved], np.arange(len(involved))] = False
-        for p in range(n):
-            if (in_group[p, local[:, 0]] & in_group[p, local[:, 1]]).any():
-                return NetPGViolation(
-                    kind="level-separation",
-                    vertex=p,
-                    level=level,
-                    details=f"group members closer than {sep}",
-                )
-    want = build_net_pg_naive(space, pts, params.epsilon, hierarchy=hierarchy).out_edges
+        radius = float(2.0 ** level)
+        count = np.bincount(hierarchy.members(level), minlength=n)
+        covered = count > 0  # a member covers itself
+        into = covered[oracle.flat]
+        close = src[into & covered[src] & (length < radius)]
+        bad = np.concatenate([close, np.flatnonzero(count > 1)])
+        if len(bad):
+            return NetPGViolation(
+                kind="level-separation",
+                vertex=int(bad.min()),
+                level=level,
+                details=f"a co-member closer than {radius}, or listed twice",
+            )
+        covered[src[into & (length <= radius)]] = True
+        if not covered.all():
+            return NetPGViolation(
+                kind="level-covering",
+                vertex=int(np.argmin(covered)),
+                level=level,
+                details=f"no member within {radius}",
+            )
     for p in range(n):
         got = graph.out_edges[p]
         if len(got) == 0:

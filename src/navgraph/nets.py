@@ -168,7 +168,11 @@ def _greedy_r_net_grid(space: EuclideanSpace, pts: PointSet, radius: float) -> n
 def verify_r_net(
     space: MetricSpace, pts: PointSet, radius: float, members: np.ndarray
 ) -> Optional[NetViolation]:
-    """Check separation and covering; return the first violation or None."""
+    """Check separation and covering; return the first violation or None.
+
+    The definitional check: the tests' oracle for the net premises that
+    ``verify_net_pg_properties`` reads off the edge rule.
+    """
     members = np.asarray(members, dtype=np.int64)
     if len(members) == 0:
         return NetViolation(kind="covering", index_a=-1, index_b=0, distance=np.inf)

@@ -18,9 +18,11 @@ from navgraph import (
     build_net_hierarchy,
     build_net_pg_fast,
     build_net_pg_naive,
+    check_navigable,
     normalize,
     pg_params,
     verify_net_pg_properties,
+    verify_r_net,
 )
 from navgraph.graph import sorted_distinct
 from navgraph.netpg import _level_balls_grid, _level_threshold
@@ -130,9 +132,10 @@ def test_fast_equals_naive_abstract_tree_metric():
 
 def _corrupt(h, data):
     """``h`` unchanged, or with one level's members thinned, copied from the
-    level below, or duplicated; levels keep their radii."""
-    kind = data.draw(st.sampled_from(["none", "drop", "below", "duplicate"]))
-    level = data.draw(st.integers(0 if kind != "below" else 1, h.top_level))
+    level below, duplicated, or joined by points promoted from the level
+    below; levels keep their radii and stay sorted."""
+    kind = data.draw(st.sampled_from(["none", "drop", "below", "duplicate", "promote"]))
+    level = data.draw(st.integers(int(kind in ("below", "promote")), h.top_level))
     members = h.members(level)
     if kind == "drop":
         keep = st.lists(st.booleans(), min_size=len(members), max_size=len(members))
@@ -142,6 +145,10 @@ def _corrupt(h, data):
     elif kind == "duplicate":
         repeats = members[: data.draw(st.integers(1, 5))]
         members = np.sort(np.concatenate([members, repeats]))
+    elif kind == "promote":
+        below = np.setdiff1d(h.members(level - 1), members).tolist()
+        pick = data.draw(st.lists(st.sampled_from(below), max_size=3)) if below else []
+        members = np.union1d(members, np.array(pick, dtype=np.int64))
     levels = list(h.levels)
     levels[level] = Net(radius=levels[level].radius, members=members)
     return dataclasses.replace(h, levels=tuple(levels))
@@ -281,8 +288,8 @@ def test_verifier_needs_params():
 
 
 def test_verifier_reports_level_separation_witness():
-    # level 1's members are only 2-separated, so as level 2 some group
-    # holds two of them closer than 4
+    # level 1's members are only 2-separated, so as level 2 two of them are
+    # closer than 4; the witness is the smallest such member
     space, pts = normalized_instance(60, 2, 0)
     h = build_net_hierarchy(space, pts)
     levels = list(h.levels)
@@ -291,12 +298,11 @@ def test_verifier_reports_level_separation_witness():
     g = build_net_pg_naive(space, pts, 1.0, hierarchy=bad)
     assert verify_net_pg_properties(space, pts, g) == NetPGViolation(
         kind="level-separation",
-        vertex=0,
+        vertex=2,
         level=2,
-        details="group members closer than 4.0",
+        details="a co-member closer than 4.0, or listed twice",
     )
-    # a vertex is not in its own group: the close pair {0, 1} is reported
-    # at vertex 2, the first vertex that reaches both
+    # the close pair {0, 1} is reported at its smaller member
     line, pts = EuclideanSpace(1), PointSet(np.array([[0.0], [2.0], [30.0]]))
     h = build_net_hierarchy(line, pts)
     levels = list(h.levels)
@@ -304,7 +310,57 @@ def test_verifier_reports_level_separation_witness():
     bad = dataclasses.replace(h, levels=tuple(levels))
     g = build_net_pg_naive(line, pts, 1.0, hierarchy=bad)
     v = verify_net_pg_properties(line, pts, g)
-    assert (v.kind, v.vertex, v.level) == ("level-separation", 2, 2)
+    assert (v.kind, v.vertex, v.level) == ("level-separation", 0, 2)
+
+
+def test_uncovered_level_is_caught_though_the_graph_obeys_its_edge_rule():
+    # without point 1, level 2 leaves point 2 (6 normalised units from point
+    # 0) uncovered; the graph built on that hierarchy obeys its own edge rule
+    # and still fails navigability, so covering must be checked
+    line = EuclideanSpace(1)
+    raw = PointSet(np.array([[1.0], [19.0], [28.0], [101.0], [172.0], [181.0]]))
+    norm = normalize(line, raw)
+    h = build_net_hierarchy(norm.space, norm.points)
+    levels = list(h.levels)
+    members = levels[2].members
+    levels[2] = Net(radius=4.0, members=members[members != 1])
+    bad = dataclasses.replace(h, levels=tuple(levels))
+    g = build_net_pg_naive(norm.space, norm.points, 1.0, hierarchy=bad)
+    v = verify_net_pg_properties(norm.space, norm.points, g)
+    assert (v.kind, v.vertex, v.level) == ("level-covering", 2, 2)
+    query = np.array([[52.0]]) * norm.scale
+    w = check_navigable(g, norm.space, norm.points, 1.0, query)
+    assert w is not None and w.vertex == 3
+
+
+@given(
+    st.sampled_from(["l2-1", "l2-2", "l2-3", "linf-1", "linf-2", "linf-3", "tree"]),
+    st.integers(0, 2**31 - 1),
+    st.integers(10, 60),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_level_witness_is_verify_r_nets_first_failure(metric, seed, n, data):
+    # the definitional net check, level by level, is the oracle for the
+    # verifier's separation and covering passes
+    if metric == "tree":
+        ids = np.random.default_rng(seed).choice(2**7, size=n, replace=False)
+        norm = normalize(TreeMetricSpace(7), PointSet(ids))
+        space, pts = norm.space, norm.points
+    else:
+        norm_name, d = metric.split("-")
+        space, pts = normalized_instance(n, int(d), seed, norm=norm_name)
+    h = _corrupt(build_net_hierarchy(space, pts), data)
+    g = build_net_pg_naive(space, pts, 1.0, hierarchy=h)
+    want = None
+    for level, net in enumerate(h.levels):
+        bad = verify_r_net(space, pts, net.radius, net.members)
+        if bad is not None:
+            vertex = bad.index_a if bad.kind == "separation" else bad.index_b
+            want = (f"level-{bad.kind}", vertex, level)
+            break
+    v = verify_net_pg_properties(space, pts, g)
+    assert (None if v is None else (v.kind, v.vertex, v.level)) == want
 
 
 def test_min_out_degree_and_separation_law():

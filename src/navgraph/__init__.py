@@ -26,7 +26,6 @@ from .graph import (
     NavigabilityWitness,
     ProximityGraph,
     SearchTrace,
-    budgeted_query,
     check_navigable,
     graph_stats,
     greedy_search,

@@ -44,7 +44,6 @@ from .metrics import (
     EuclideanSpace,
     PointSet,
     TreeMetricSpace,
-    estimate_extremes,
     pairwise_min_distance,
     verify_triangle,
 )
@@ -141,7 +140,7 @@ def _build_graph(algo, pts, space, eps, z, seed, repeats):
         summary = {
             "edges": g.edge_count,
             "scale": norm.scale,
-            "top_level": params.top_level,
+            "top_level": g.meta["hierarchy"].top_level,
             "gap_exponent": params.gap_exponent,
             "reach_factor": params.reach_factor,
         }
@@ -423,12 +422,13 @@ BENCH_TREE_HEIGHT = 20
 BENCH_QUERIES = 1000
 BENCH_ABOUT = (
     "Rows of navgraph bench. Net rows (eps=1; 2D inputs from default_rng(1), or "
-    "one leaf per subtree of a height-20 tree) time normalize, estimate_extremes, "
-    "build_net_hierarchy, build_net_pg given the hierarchy, save_graph, load_graph "
-    "(in a fresh interpreter; load_added_peak_rss_mb is how far it raises the peak "
-    "RSS, VmHWM, of a process that has only imported navgraph), build_theta_graph "
-    "at eps/32 (2D only), route: 1000 greedy queries from default_rng(2) with "
-    "their per-query distance computations at p50 and p99, navigable: "
+    "one leaf per subtree of a height-20 tree) time normalize, build_net_hierarchy "
+    "(estimate_extremes included), build_net_pg given the hierarchy, save_graph, "
+    "load_graph (in a fresh interpreter; load_added_peak_rss_mb is how far it "
+    "raises the peak RSS, VmHWM, of a process that has only imported navgraph), "
+    "build_theta_graph at eps/32 (2D only), route: 1000 greedy queries from "
+    "default_rng(2) with their per-query distance computations at p50 and p99, "
+    "navigable: "
     "check_navigable of the net graph on those queries, scaled to the normalised "
     "points (its verdict is the row's navigable field), and net_props: "
     "verify_net_pg_properties of the net graph (its verdict is the row's net_props "
@@ -540,9 +540,7 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
 
             norm = normalize(space, pts)
             mark("normalize")
-            extremes = estimate_extremes(norm.space, norm.points)
-            mark("extremes")
-            hierarchy = build_net_hierarchy(norm.space, norm.points, extremes)
+            hierarchy = build_net_hierarchy(norm.space, norm.points)
             mark("hierarchy")
             graph = build_net_pg(norm.space, norm.points, 1.0, hierarchy=hierarchy)
             mark("net_edges")

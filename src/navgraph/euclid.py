@@ -121,7 +121,7 @@ def sparsify(g_net: ProximityGraph, jackpots: np.ndarray) -> ProximityGraph:
     keep[jackpots] = True
     keys = g_net.edge_keys()
     keys = keys[keep[keys // g_net.n]]
-    return ProximityGraph.from_codes(g_net.n, keys, "sampled-net")
+    return ProximityGraph.from_codes(g_net.n, keys)
 
 
 def merged_from_components(

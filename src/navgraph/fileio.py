@@ -147,7 +147,7 @@ def save_graph(path, graph: ProximityGraph) -> None:
             fh.write(lines[lines != 0].tobytes())
 
 
-def load_graph(path, provenance: str = "custom") -> ProximityGraph:
+def load_graph(path) -> ProximityGraph:
     """Read a graph file; edge lines may come in any order."""
     n, m, lines = _header(path, "n m")
     edges = _body(path, np.int64, 2, lines)
@@ -175,7 +175,7 @@ def load_graph(path, provenance: str = "custom") -> ProximityGraph:
     del edges, src, dst  # the sorted keys are all the graph keeps
     flat %= n + 2
     flat -= 1
-    return ProximityGraph._from_csr(n, flat, offsets, provenance)
+    return ProximityGraph._from_csr(n, flat, offsets)
 
 
 def save_trace(path, trace: SearchTrace) -> None:

@@ -43,14 +43,11 @@ __all__ = [
     "GraphStats",
     "NavigabilityWitness",
     "greedy_search",
-    "budgeted_query",
     "merge_graphs",
     "graph_stats",
     "check_navigable",
     "segment_min",
 ]
-
-PROVENANCE_TAGS = ("net", "theta", "sampled-net", "merged", "custom")
 
 #: ``check_navigable``'s blocks hold about this many (query, point) distances.
 BLOCK_CELLS = 1 << 13
@@ -74,7 +71,7 @@ class ProximityGraph:
     Graphs are immutable.
     """
 
-    def __init__(self, n: int, out_edges: Sequence, provenance: str = "custom"):
+    def __init__(self, n: int, out_edges: Sequence):
         if n < 1:
             raise DomainError(f"graph needs at least one vertex, got n={n}")
         if len(out_edges) != n:
@@ -88,24 +85,22 @@ class ProximityGraph:
         offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
         flat = np.concatenate(rows)
         _check_csr(n, flat, offsets)
-        self._store(n, flat, offsets, provenance)
+        self._store(n, flat, offsets)
 
     @classmethod
-    def _from_csr(
-        cls, n: int, flat: np.ndarray, offsets: np.ndarray, provenance: str
-    ) -> ProximityGraph:
+    def _from_csr(cls, n: int, flat: np.ndarray, offsets: np.ndarray) -> ProximityGraph:
         """The graph of an int64 CSR adjacency, checked as the constructor checks rows."""
         _check_csr(n, flat, offsets)
         g = cls.__new__(cls)
-        g._store(n, flat, offsets, provenance)
+        g._store(n, flat, offsets)
         return g
 
     @classmethod
-    def from_codes(cls, n: int, codes: np.ndarray, provenance: str) -> ProximityGraph:
+    def from_codes(cls, n: int, codes: np.ndarray) -> ProximityGraph:
         """The graph of the ascending, distinct edge codes v * n + t, unchecked."""
         g = cls.__new__(cls)
         offsets = np.searchsorted(codes, np.arange(n + 1, dtype=np.int64) * n)
-        g._store(n, (codes % n).astype(np.int64, copy=False), offsets, provenance)
+        g._store(n, (codes % n).astype(np.int64, copy=False), offsets)
         return g
 
     @classmethod
@@ -117,20 +112,17 @@ class ProximityGraph:
         offsets = np.zeros(n + 1, dtype=np.int64)
         offsets[v + 1 :] = len(row)
         g = cls.__new__(cls)
-        g._store(n, row, offsets, "custom")
+        g._store(n, row, offsets)
         g.out_edges = [row[:0]] * n
         g.out_edges[v] = row
         return g
 
-    def _store(self, n, flat, offsets, provenance) -> None:
-        if provenance not in PROVENANCE_TAGS:
-            raise DomainError(f"unknown provenance {provenance!r}")
+    def _store(self, n, flat, offsets) -> None:
         flat.setflags(write=False)
         offsets.setflags(write=False)
         self.n = int(n)
         self.flat = flat
         self.offsets = offsets
-        self.provenance = provenance
         self.meta: dict = {}  # builder-attached context; not part of equality
 
     @cached_property
@@ -314,23 +306,12 @@ def greedy_search(
     return _greedy_engine(graph, space, pts, start, q, budget=budget)
 
 
-def budgeted_query(
-    graph: ProximityGraph, space: MetricSpace, pts: PointSet, start: int, q, budget: int
-) -> int:
-    """Greedy descent cut off after ``budget`` distance computations.
-
-    Returns the last vertex visited.  The start evaluation costs 1, so
-    budget=1 returns the start itself.
-    """
-    return _greedy_engine(graph, space, pts, start, q, budget=budget).final
-
-
 def merge_graphs(g1: ProximityGraph, g2: ProximityGraph) -> ProximityGraph:
     """Per-vertex union of out-edge sets; the order of arguments is immaterial."""
     if g1.n != g2.n:
         raise DomainError(f"cannot merge graphs with n={g1.n} and n={g2.n}")
     keys = sorted_distinct(np.concatenate([g1.edge_keys(), g2.edge_keys()]))
-    return ProximityGraph.from_codes(g1.n, keys, "merged")
+    return ProximityGraph.from_codes(g1.n, keys)
 
 
 def sorted_distinct(codes: np.ndarray) -> np.ndarray:

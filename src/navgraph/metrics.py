@@ -330,12 +330,12 @@ class PointSet:
 
 @dataclass(frozen=True)
 class ExtremeEstimate:
-    """Constant-factor distance extremes recoverable from O(n) + NN queries.
+    """Constant-factor distance extremes, as ``estimate_extremes`` takes them.
 
-    ``max_distance`` lies in [d_max, 2 d_max] (twice the farthest distance
-    from an anchor point); ``min_distance`` lies in [d_min/2, d_min] (half
-    the smallest recorded near-neighbor distance); ``aspect_ratio`` is their
-    quotient and lies in [true aspect ratio, 4x true aspect ratio].
+    ``max_distance`` is twice the farthest distance from the anchor point
+    (index 0) and lies in [d_max, 2 d_max]; ``min_distance`` is exactly
+    d_min / 2; ``aspect_ratio`` is their quotient and lies in [2, 4] times
+    the true aspect ratio d_max / d_min.
     """
 
     min_distance: float
@@ -484,13 +484,11 @@ def cross_distances(space: MetricSpace, a_elements, b_elements) -> np.ndarray:
 
 
 def estimate_extremes(space: MetricSpace, pts: PointSet) -> ExtremeEstimate:
-    """Estimate d_max within 2x and d_min within 2x without full knowledge.
+    """d_max within a factor 2 from one distance row, and d_min / 2 exactly.
 
     The max estimate doubles the farthest distance from the anchor point
-    (index 0).  The min estimate halves the smallest distance recorded by a
-    near-neighbor pass; brute-force exact NN stands in for the 2-approximate
-    near neighbor the estimate is defined against, which keeps the stated
-    interval valid.
+    (index 0), which is at least d_max / 2 by the triangle inequality.  The
+    min estimate halves the exact minimum of ``pairwise_min_distance``.
     """
     if pts.n < 2:
         raise DomainError("extreme estimates require at least two points")

@@ -53,7 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PGParams:
-    """Construction constants derived from epsilon and the hierarchy height.
+    """Construction constants fixed by epsilon in (0, 1] alone (``pg_params``).
 
     ``gap_exponent`` is ceil(log2(1 + 2/epsilon)) and is at least 2;
     ``reach_factor`` is 1 + 2**(gap_exponent+1) and is at least 9.  Edges at
@@ -63,27 +63,15 @@ class PGParams:
     epsilon: float
     gap_exponent: int
     reach_factor: float
-    top_level: int
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon <= 1.0):
-            raise DomainError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        assert self.gap_exponent >= 2
-        assert self.reach_factor >= 9.0
 
 
-def pg_params(epsilon: float, hierarchy: NetHierarchy) -> PGParams:
-    """Compute the construction constants for a given epsilon and hierarchy."""
+def pg_params(epsilon: float) -> PGParams:
+    """Compute the construction constants for a given epsilon."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must be in (0, 1], got {epsilon}")
     eta = ceil_log2(1.0 + 2.0 / epsilon)
     phi = float(1 + (1 << (eta + 1)))
-    return PGParams(
-        epsilon=float(epsilon),
-        gap_exponent=eta,
-        reach_factor=phi,
-        top_level=hierarchy.top_level,
-    )
+    return PGParams(epsilon=float(epsilon), gap_exponent=eta, reach_factor=phi)
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,7 @@ def build_net_pg_naive(
     """
     if hierarchy is None:
         hierarchy = build_net_hierarchy(space, pts)
-    params = pg_params(epsilon, hierarchy)
+    params = pg_params(epsilon)
     n = pts.n
     top = _top_levels(hierarchy, n)
     reach = np.where(top >= 0, _level_threshold(params.reach_factor, top), -np.inf)
@@ -167,7 +155,7 @@ def build_net_pg_naive(
     for p in range(n):
         hits = np.flatnonzero(space.distances(pts.points, pts.points[p]) <= reach)
         codes.append(p * n + hits[hits != p])
-    g = ProximityGraph.from_codes(n, np.concatenate(codes), "net")
+    g = ProximityGraph.from_codes(n, np.concatenate(codes))
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 
@@ -219,7 +207,7 @@ def build_net_pg_fast(
         return build_net_pg_naive(space, pts, epsilon, hierarchy)
     if hierarchy is None:
         hierarchy = build_net_hierarchy(space, pts)
-    params = pg_params(epsilon, hierarchy)
+    params = pg_params(epsilon)
     n = pts.n
     top = _top_levels(hierarchy, n)
     codes = [np.empty(0, dtype=np.int64)]
@@ -228,7 +216,7 @@ def build_net_pg_fast(
         balls = _level_balls_grid(space, pts, np.flatnonzero(top == level), thr)
         codes.append(balls[balls // n != balls % n])
     # wrapped cell numbers (see ``_grid``) can yield a pair twice
-    g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
+    g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)))
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
 
@@ -252,38 +240,37 @@ def verify_net_pg_properties(
     pts: PointSet,
     graph: ProximityGraph,
     hierarchy: Optional[NetHierarchy] = None,
-    params: Optional[PGParams] = None,
+    epsilon: Optional[float] = None,
 ) -> Optional[NetPGViolation]:
     """Check that each level is a net and that the graph obeys the edge rule.
 
     In order: each level Y_i, ascending, is 2^i-separated (else
     ``level-separation`` at the smallest member with a co-member closer than
     2^i or listed twice) and 2^i-covering (else ``level-covering`` at the
-    smallest point with no member within 2^i); then, vertex by vertex, p has
-    an out-edge (``isolated-vertex``) and ``build_net_pg_naive``'s
-    out-neighbors (``edge-set-mismatch``).  Returns the first violation or
-    None.  All exact: a member y of Y_i reaches reach_factor * 2^top(y) >=
-    9 * 2^i, so every point within 2^i of y has an oracle edge to it, each
-    edge is measured once, and each level's verdict is ``verify_r_net``'s.
-    Hierarchy and parameters default to the graph's build metadata;
-    parameters must be the ones their epsilon gives.
+    smallest point with no member within 2^i); the top level is one point
+    (else ``level-top`` at its second-smallest member); then, vertex by
+    vertex, p has an out-edge (``isolated-vertex``) and
+    ``build_net_pg_naive``'s out-neighbors at this epsilon
+    (``edge-set-mismatch``).  Returns the first violation or None.  All
+    exact: a member y of Y_i reaches reach_factor * 2^top(y) >= 9 * 2^i, so
+    every point within 2^i of y has an oracle edge to it, each edge is
+    measured once, and each level's verdict is ``verify_r_net``'s.
+
+    The hierarchy defaults to the graph's build metadata, else it is built
+    from the points; epsilon defaults to the one the graph was built with.
+    A graph read from a file carries neither, so it is checked by passing
+    epsilon alone.
     """
+    if epsilon is None:
+        if "params" not in graph.meta:
+            raise DomainError("no epsilon: pass epsilon or a graph with build meta")
+        epsilon = graph.meta["params"].epsilon
     if hierarchy is None:
         hierarchy = graph.meta.get("hierarchy") or build_net_hierarchy(space, pts)
-    if params is None:
-        params = graph.meta.get("params")
-        if params is None:
-            raise DomainError("no parameters: pass params or a graph with build meta")
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
-    expected_phi = pg_params(params.epsilon, hierarchy).reach_factor
-    if params.reach_factor != expected_phi:
-        raise DomainError(
-            f"reach factor {params.reach_factor} does not match epsilon "
-            f"{params.epsilon}, which gives {expected_phi}"
-        )
     n = pts.n
-    oracle = build_net_pg_naive(space, pts, params.epsilon, hierarchy=hierarchy)
+    oracle = build_net_pg_naive(space, pts, epsilon, hierarchy=hierarchy)
     want = oracle.out_edges
     src = np.repeat(np.arange(n), np.diff(oracle.offsets))
     length = np.concatenate(
@@ -311,6 +298,14 @@ def verify_net_pg_properties(
                 level=level,
                 details=f"no member within {radius}",
             )
+    top = np.sort(hierarchy.members(hierarchy.top_level))
+    if len(top) > 1:
+        return NetPGViolation(
+            kind="level-top",
+            vertex=int(top[1]),
+            level=hierarchy.top_level,
+            details=f"{len(top)} members, not one",
+        )
     for p in range(n):
         got = graph.out_edges[p]
         if len(got) == 0:

@@ -220,22 +220,19 @@ class NetHierarchy:
         return self.levels[level].members
 
 
-def build_net_hierarchy(
-    space: MetricSpace,
-    pts: PointSet,
-    extremes: Optional[ExtremeEstimate] = None,
-) -> NetHierarchy:
+def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
     """Build the full stack of greedy nets for a normalized point set.
 
     Requires minimum inter-point distance 2 (within relative tolerance); use
     :func:`navgraph.netpg.normalize` to bring raw inputs into that form.  The
-    top level is ceil(log2(estimated max distance)), so the coarsest net has
-    radius at least the true diameter and is a single point.
+    extremes come from ``estimate_extremes`` on the points themselves.  The
+    top level is ceil(log2(twice the anchor's farthest distance)), so its
+    radius is at least the diameter and twice every point's distance to
+    point 0: the coarsest net is {0}.
     """
     if pts.n < 2:
         raise DomainError("a net hierarchy needs at least two points")
-    if extremes is None:
-        extremes = estimate_extremes(space, pts)
+    extremes = estimate_extremes(space, pts)
     observed_min = 2.0 * extremes.min_distance  # the estimate halves it
     if abs(observed_min - 2.0) > MIN_DISTANCE_RTOL * 2.0:
         raise DomainError(
@@ -251,4 +248,4 @@ def build_net_hierarchy(
         else:
             members = greedy_r_net(space, pts, radius)
         levels.append(Net(radius=radius, members=members))
-    return NetHierarchy(top_level=top, levels=tuple(levels), extremes=extremes)
+    return NetHierarchy(top, tuple(levels), extremes)

@@ -316,15 +316,12 @@ def _containing_cones(
     )
 
 
-def build_theta_graph(
-    pts: PointSet, theta: float, family: Optional[ConeFamily] = None
-) -> ProximityGraph:
+def build_theta_graph(pts: PointSet, theta: float) -> ProximityGraph:
     """One edge per vertex per non-empty translated cone.
 
-    ``meta`` carries the cone family and, in ``edge_cones``, the smallest
-    cone id that produced each edge, aligned with the graph's ``flat``.
-    ``family`` must come from ``build_cone_family``: cones are looked up on
-    its grid.
+    The cones are ``build_cone_family(pts.dim, theta)``'s.  ``meta`` carries
+    that family and, in ``edge_cones``, the smallest cone id that produced
+    each edge, aligned with the graph's ``flat``.
 
     Apexes go in blocks of about ``_PAIR_BUDGET`` (apex, target) pairs.  The
     cones holding each pair's relative vector are found from its angles:
@@ -338,12 +335,7 @@ def build_theta_graph(
     """
     if pts.is_abstract:
         raise DomainError("theta-graphs need coordinate points")
-    if family is None:
-        family = build_cone_family(pts.dim, theta)
-    elif family.dimension != pts.dim:
-        raise DomainError(
-            f"family dimension {family.dimension} does not match points ({pts.dim})"
-        )
+    family = build_cone_family(pts.dim, theta)
     n, k = pts.n, len(family)
     p_all = pts.points
     block = max(1, _PAIR_BUDGET // n)
@@ -375,18 +367,15 @@ def build_theta_graph(
         edge, at = np.unique((won // k) * n + key[first] % n, return_index=True)
         codes.append(lo * n + edge)
         cones.append(won[at] % k)
-    g = ProximityGraph.from_codes(n, np.concatenate(codes), "theta")
+    g = ProximityGraph.from_codes(n, np.concatenate(codes))
     edge_cones = np.concatenate(cones)
     g.meta = {"family": family, "theta": float(theta), "edge_cones": edge_cones}
     return g
 
 
-def build_theta_graph_brute(
-    pts: PointSet, theta: float, family: Optional[ConeFamily] = None
-) -> ProximityGraph:
+def build_theta_graph_brute(pts: PointSet, theta: float) -> ProximityGraph:
     """Definitional construction via per-cone scalar argmin; test oracle."""
-    if family is None:
-        family = build_cone_family(pts.dim, theta)
+    family = build_cone_family(pts.dim, theta)
     rows = []
     edge_cones = []
     for p in range(pts.n):
@@ -398,7 +387,7 @@ def build_theta_graph_brute(
         order = sorted(chosen)
         rows.append(np.array(order, dtype=np.int64))
         edge_cones.extend(chosen[t] for t in order)
-    g = ProximityGraph(pts.n, rows, provenance="theta")
+    g = ProximityGraph(pts.n, rows)
     edge_cones = np.array(edge_cones, dtype=np.int64)
     g.meta = {"family": family, "theta": float(theta), "edge_cones": edge_cones}
     return g

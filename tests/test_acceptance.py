@@ -19,7 +19,6 @@ from navgraph import (
     EuclideanSpace,
     PointSet,
     best_of_runs,
-    build_cone_family,
     build_euclid_pg,
     build_net_hierarchy,
     build_net_pg_fast,
@@ -198,10 +197,10 @@ def test_criterion_04_edge_structure(net_runs):
 def test_criterion_05_theta_protocol():
     failures = []
     for eps in (1.0, 0.5):
-        family = build_cone_family(2, eps / 32.0)
         for point_seed in POINT_SEEDS:
             norm = normalize(EuclideanSpace(2), uniform_points(500, 2, point_seed))
-            graph = build_theta_graph(norm.points, eps / 32.0, family=family)
+            graph = build_theta_graph(norm.points, eps / 32.0)
+            cones = len(graph.meta["family"])
             max_deg = max(len(row) for row in graph.out_edges)
             queries = standard_query_set(norm.points, eps, seed=point_seed * 7)
             witness = check_navigable(graph, norm.space, norm.points, eps, queries)
@@ -212,10 +211,10 @@ def test_criterion_05_theta_protocol():
             ok = (
                 witness is None
                 and report.all_ann
-                and max_deg <= len(family)
+                and max_deg <= cones
             )
             if not ok:
-                failures.append((eps, point_seed, max_deg, len(family)))
+                failures.append((eps, point_seed, max_deg, cones))
     _verdict(
         5,
         not failures,

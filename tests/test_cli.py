@@ -303,8 +303,8 @@ def test_bench_pins_machine_independent_outputs(tmp_path):
     )
     assert (net["edges"], net["levels"], net["theta_edges"]) == (179489, 15, 148863)
     assert net["dist_evals"]["theta"] is None
-    stages = ("normalize", "extremes", "hierarchy", "net_edges")
-    assert [net["dist_evals"][s] for s in stages] == [2006, 3007, 138407, 323546]
+    stages = ("normalize", "hierarchy", "net_edges")
+    assert [net["dist_evals"][s] for s in stages] == [2006, 3007 + 138407, 323546]
     assert net["query_dist_evals"] == {"p50": 521, "p99": 779}
     assert net["dist_evals"]["navigable"] == 1000 * 1000 and net["navigable"]
     assert net["dist_evals"]["net_props"] == 1000 * 1000 + 179489 and net["net_props"]

@@ -54,13 +54,12 @@ def test_abstract_points_round_trip(tmp_path):
     assert (back.points == ids.points).all()
 
 
-def test_graph_round_trip_and_provenance(tmp_path):
-    g = ProximityGraph(4, [[1, 3], [], [0], [0, 1, 2]], provenance="net")
+def test_graph_round_trip(tmp_path):
+    g = ProximityGraph(4, [[1, 3], [], [0], [0, 1, 2]])
     path = tmp_path / "g.txt"
     save_graph(path, g)
     back = load_graph(path)
     assert back == g
-    assert back.provenance == "custom"  # files don't carry provenance
     assert back.edge_count == 6
 
 

@@ -12,7 +12,6 @@ from navgraph import (
     PointSet,
     ProximityGraph,
     TreeMetricSpace,
-    budgeted_query,
     build_euclid_pg,
     build_net_pg_fast,
     check_navigable,
@@ -55,8 +54,6 @@ def test_graph_validation():
         ProximityGraph(3, [[1], [[0, 2]], []])
     with pytest.raises(DomainError, match="adjacency row 0 is not 1-D"):
         ProximityGraph(3, [1, [], []])
-    with pytest.raises(DomainError, match="unknown provenance"):
-        ProximityGraph(2, [[1], []], provenance="mystery")
     # the first faulty row is named, whatever its fault
     with pytest.raises(DomainError, match="row 0 contains a self-loop"):
         ProximityGraph(3, [[0], [5], []])
@@ -71,7 +68,7 @@ def test_rows_and_edge_codes_build_the_same_graph(n, data):
     ]
     g = ProximityGraph(n, rows)
     codes = np.array([v * n + t for v, row in enumerate(rows) for t in row], dtype=np.int64)
-    assert g == ProximityGraph.from_codes(n, codes, "custom")
+    assert g == ProximityGraph.from_codes(n, codes)
     assert [r.tolist() for r in g.out_edges] == rows
     assert g.edge_count == len(codes)
     keys = g.edge_keys()
@@ -132,8 +129,8 @@ def test_trace_cost_accounting():
 
 def test_budget_one_returns_start():
     g, pts = line_instance()
-    assert budgeted_query(g, SPACE1, pts, 1, np.array([0.0]), budget=1) == 1
     trace = greedy_search(g, SPACE1, pts, 1, np.array([0.0]), budget=1)
+    assert trace.final == 1
     assert trace.terminated == "budget"
     assert trace.distance_computations == 1
 
@@ -178,7 +175,6 @@ def test_merge_graphs_identities():
     assert [r.tolist() for r in m.out_edges] == [[1, 2], [2], [0, 1]]
     assert merge_graphs(a, a) == a
     assert merge_graphs(a, b) == merge_graphs(b, a)
-    assert m.provenance == "merged"
     with pytest.raises(DomainError):
         merge_graphs(a, ProximityGraph(2, [[1], []]))
 
@@ -281,7 +277,7 @@ def test_check_navigable_equals_the_per_query_oracle(data):
     src = np.repeat(np.arange(n), k)
     tgt = rng.integers(0, n, size=n * k)
     keep = (tgt != src) & (rng.random(n) >= data.draw(st.sampled_from([0.0, 0.3])))[src]
-    graph = ProximityGraph.from_codes(n, np.unique(src[keep] * n + tgt[keep]), "custom")
+    graph = ProximityGraph.from_codes(n, np.unique(src[keep] * n + tgt[keep]))
     block = max(1, BLOCK_CELLS // n)
     count = data.draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
     queries = [far] * max(1, count)
@@ -315,7 +311,7 @@ def test_check_navigable_orders_witnesses_and_errors(layout, want):
     pts = uniform_points(n, 2, 5)
     far, bad = np.array([1e6, 1e6]), np.array([np.nan, 0.0])
     queries = [{"F": far, "N": pts.points[0], "X": bad}[c] for c in layout]
-    graph = ProximityGraph.from_codes(n, np.array([], dtype=np.int64), "custom")
+    graph = ProximityGraph.from_codes(n, np.array([], dtype=np.int64))
     got = assert_matches_oracle(graph, EuclideanSpace(2), pts, 1.0, queries)
     if isinstance(want, str):
         assert want in got
@@ -331,7 +327,7 @@ def test_check_navigable_equals_the_oracle_on_a_merged_graph():
     rng = np.random.default_rng(0)
     keys = base.edge_keys().astype(np.int64)
     graphs = [base] + [
-        ProximityGraph.from_codes(500, keys[rng.random(len(keys)) >= frac], "custom")
+        ProximityGraph.from_codes(500, keys[rng.random(len(keys)) >= frac])
         for frac in (0.001, 0.01, 0.1)
     ]
     outcomes = [assert_matches_oracle(g, nspace, npts, 1.0, queries) for g in graphs]
@@ -341,7 +337,7 @@ def test_check_navigable_equals_the_oracle_on_a_merged_graph():
 @pytest.mark.parametrize("epsilon", [np.inf, np.nan, 0.0, -1.0])
 def test_verifiers_reject_epsilon_outside_the_domain(small_instance, epsilon):
     space, pts = small_instance
-    edgeless = ProximityGraph.from_codes(pts.n, np.array([], dtype=np.int64), "custom")
+    edgeless = ProximityGraph.from_codes(pts.n, np.array([], dtype=np.int64))
     entries = [
         lambda: check_navigable(edgeless, space, pts, epsilon, [pts.points[0]]),
         lambda: run_query_protocol(edgeless, space, pts, epsilon, [pts.points[0]]),
@@ -382,7 +378,7 @@ def test_routing_entries_reject_out_of_domain_query(small_instance, q, problem):
     g = build_net_pg_fast(space, pts, 1.0)
     entries = [
         lambda: greedy_search(g, space, pts, 0, q),
-        lambda: budgeted_query(g, space, pts, 0, q, 5),
+        lambda: greedy_search(g, space, pts, 0, q, budget=5).final,
         lambda: jackpot_query(g, space, pts, 0, q, [1, 2], 8.0),
         lambda: check_navigable(g, space, pts, 1.0, [q]),
         lambda: check_navigable(g, space, pts, 1.0, [pts.points[0], q]),

@@ -19,8 +19,11 @@ from navgraph import (
     build_net_pg_fast,
     build_net_pg_naive,
     check_navigable,
+    load_graph,
     normalize,
     pg_params,
+    save_graph,
+    standard_query_set,
     verify_net_pg_properties,
     verify_r_net,
 )
@@ -40,7 +43,7 @@ def per_level_oracle(space, pts, epsilon, hierarchy):
     One distance row per (point, level) against that level's members within
     reach_factor * 2^level; the builders decide each pair once instead.
     """
-    params = pg_params(epsilon, hierarchy)
+    params = pg_params(epsilon)
     n = pts.n
     codes = []
     for level in range(hierarchy.top_level + 1):
@@ -51,20 +54,19 @@ def per_level_oracle(space, pts, epsilon, hierarchy):
             row = space.distances(member_pts, pts.points[p])
             hits = members[row <= thr]
             codes.append(p * n + hits[hits != p])
-    return ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)), "net")
+    return ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)))
 
 
 def test_construction_constants_frozen_table():
-    space, pts, h = hierarchy_for(30, 2, 0)
     # eta = ceil(log2(1 + 2/eps)), phi = 1 + 2^(eta+1)
     for eps, eta, phi in [(1.0, 2, 9.0), (0.5, 3, 17.0), (0.25, 4, 33.0)]:
-        params = pg_params(eps, h)
+        params = pg_params(eps)
         assert params.gap_exponent == eta
         assert params.reach_factor == phi
     with pytest.raises(DomainError):
-        pg_params(0.0, h)
+        pg_params(0.0)
     with pytest.raises(DomainError):
-        pg_params(1.5, h)
+        pg_params(1.5)
 
 
 def test_level_threshold_exact_in_floats():
@@ -217,7 +219,7 @@ def test_edge_rule_direct_quantifier_check():
     # independent oracle for the builder: evaluate the definition verbatim
     space, pts = normalized_instance(45, 2, 13)
     h = build_net_hierarchy(space, pts)
-    params = pg_params(0.5, h)
+    params = pg_params(0.5)
     g = build_net_pg_fast(space, pts, 0.5, hierarchy=h)
     expected = [set() for _ in range(pts.n)]
     for level in range(h.top_level + 1):
@@ -248,7 +250,7 @@ def test_verifier_passes_built_graphs_and_flags_mutations():
     victim_row = set(rows[0].tolist())
     outsider = next(v for v in range(pts.n) if v != 0 and v not in victim_row)
     rows_plus[0] = np.array(sorted(victim_row | {outsider}), dtype=np.int64)
-    g_plus = ProximityGraph(pts.n, rows_plus, provenance="net")
+    g_plus = ProximityGraph(pts.n, rows_plus)
     g_plus.meta = dict(g.meta)
     v = verify_net_pg_properties(space, pts, g_plus)
     assert v is not None and v.kind == "edge-set-mismatch" and v.vertex == 0
@@ -256,7 +258,7 @@ def test_verifier_passes_built_graphs_and_flags_mutations():
     # removing an edge must surface too
     rows_minus = [r for r in rows]
     rows_minus[5] = rows[5][1:]
-    g_minus = ProximityGraph(pts.n, rows_minus, provenance="net")
+    g_minus = ProximityGraph(pts.n, rows_minus)
     g_minus.meta = dict(g.meta)
     v = verify_net_pg_properties(space, pts, g_minus)
     assert v is not None and v.kind == "edge-set-mismatch" and v.vertex == 5
@@ -267,7 +269,7 @@ def test_verifier_flags_isolated_vertex():
     g = build_net_pg_fast(space, pts, 1.0)
     rows = [r.copy() for r in g.out_edges]
     rows[3] = np.empty(0, dtype=np.int64)
-    bad = ProximityGraph(pts.n, rows, provenance="net")
+    bad = ProximityGraph(pts.n, rows)
     bad.meta = dict(g.meta)
     v = verify_net_pg_properties(space, pts, bad)
     assert v is not None
@@ -278,13 +280,23 @@ def test_verifier_flags_isolated_vertex():
 def test_verifier_needs_params():
     space, pts = normalized_instance(20, 2, 23)
     g = build_net_pg_fast(space, pts, 1.0)
-    bare = ProximityGraph(pts.n, list(g.out_edges), provenance="net")
-    with pytest.raises(DomainError):
+    bare = ProximityGraph(pts.n, list(g.out_edges))
+    with pytest.raises(DomainError, match="no epsilon"):
         verify_net_pg_properties(space, pts, bare)
-    # the edge rule comes from epsilon, so the reach factor must match it
-    wrong = dataclasses.replace(g.meta["params"], reach_factor=17.0)
-    with pytest.raises(DomainError, match="reach factor"):
-        verify_net_pg_properties(space, pts, g, params=wrong)
+
+
+def test_verifier_checks_a_loaded_graph_at_the_epsilon_given(tmp_path):
+    # a graph read from a file has no build meta: epsilon alone decides the
+    # edge rule, and the hierarchy is built from the points
+    norm = normalize(EuclideanSpace(2), PointSet(np.random.default_rng(5).random((200, 2))))
+    path = tmp_path / "g.txt"
+    save_graph(path, build_net_pg_fast(norm.space, norm.points, 1.0))
+    g = load_graph(path)
+    assert verify_net_pg_properties(norm.space, norm.points, g, epsilon=1.0) is None
+    v = verify_net_pg_properties(norm.space, norm.points, g, epsilon=0.5)
+    assert (v.kind, v.vertex) == ("edge-set-mismatch", 0)
+    with pytest.raises(DomainError, match="no epsilon"):
+        verify_net_pg_properties(norm.space, norm.points, g)
 
 
 def test_verifier_reports_level_separation_witness():
@@ -333,6 +345,20 @@ def test_uncovered_level_is_caught_though_the_graph_obeys_its_edge_rule():
     assert w is not None and w.vertex == 3
 
 
+def test_hierarchy_stopping_short_of_one_point_is_caught():
+    # levels 0 to 4 are valid nets and the graph obeys their edge rule, but
+    # the top level keeps 279 members, and greedy routing gets stuck
+    norm = normalize(EuclideanSpace(2), PointSet(np.random.default_rng(3).random((300, 2))))
+    h = build_net_hierarchy(norm.space, norm.points)
+    short = dataclasses.replace(h, top_level=4, levels=h.levels[:5])
+    g = build_net_pg_fast(norm.space, norm.points, 1.0, hierarchy=short)
+    v = verify_net_pg_properties(norm.space, norm.points, g)
+    assert (v.kind, v.vertex, v.level) == ("level-top", 1, 4)
+    queries = standard_query_set(norm.points, 1.0, seed=0)
+    w = check_navigable(g, norm.space, norm.points, 1.0, queries)
+    assert (w.query_index, w.vertex) == (217, 138)
+
+
 @given(
     st.sampled_from(["l2-1", "l2-2", "l2-3", "linf-1", "linf-2", "linf-3", "tree"]),
     st.integers(0, 2**31 - 1),
@@ -368,7 +394,7 @@ def test_min_out_degree_and_separation_law():
     space, pts = normalized_instance(60, 2, 24)
     h = build_net_hierarchy(space, pts)
     for eps in (1.0, 0.5):
-        params = pg_params(eps, h)
+        params = pg_params(eps)
         g = build_net_pg_fast(space, pts, eps, hierarchy=h)
         assert min(len(r) for r in g.out_edges) >= 1
         for level in range(h.top_level + 1):

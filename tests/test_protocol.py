@@ -65,12 +65,12 @@ def test_protocol_passes_on_net_graph():
         queries,
         starts_per_query=5,
         seed=0,
-        first_ann_limit=g.meta["params"].top_level + 1,
+        first_ann_limit=g.meta["hierarchy"].top_level + 1,
         check_log_drop=True,
     )
     assert rep.all_ann and rep.trace_laws_hold
     assert rep.n_walks == len(queries) * 5
-    assert 1 <= rep.max_first_ann_position <= g.meta["params"].top_level + 1
+    assert 1 <= rep.max_first_ann_position <= g.meta["hierarchy"].top_level + 1
 
 
 def test_protocol_collects_planted_failure():

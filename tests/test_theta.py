@@ -129,7 +129,6 @@ def test_theta_graph_out_degree_bounded_by_cone_count():
     pts = uniform_points(200, 2, 9)
     g = build_theta_graph(pts, 1.0 / 32.0)
     assert max(len(r) for r in g.out_edges) <= len(g.meta["family"])
-    assert g.provenance == "theta"
 
 
 def test_theta_graph_rejects_abstract_points():

@@ -265,6 +265,7 @@ def _greedy_engine(
     hops = [(current, d_current)]
     jackpots_seen = 0
     out_edges = graph.out_edges
+    points = pts.points
     while True:
         if jackpot_mask is not None and jackpot_mask[current]:
             jackpots_seen += 1
@@ -280,15 +281,19 @@ def _greedy_engine(
             return SearchTrace(tuple(hops), computed, "budget")
         if len(nbrs) == 0:
             return SearchTrace(tuple(hops), computed, "self")
+        # ``take`` gathers the same rows as ``points[nbrs]`` in about a
+        # fifth of the time (numpy 2.4, 216 rows of 2 floats: 1.2 against
+        # 6.2 us), which was a fifth of a hop's whole cost.
         if row is None:
-            dists = space.distances(pts.points[nbrs], q)
+            dists = space.distances(points.take(nbrs, axis=0), q)
         else:
-            dists = row[nbrs]
+            dists = row.take(nbrs)
         computed += len(nbrs)
-        k = int(np.argmin(dists))  # first min = smallest index (nbrs sorted)
-        if dists[k] < d_current:
+        k = dists.argmin()  # first min = smallest index (nbrs sorted)
+        d_next = float(dists[k])
+        if d_next < d_current:
             current = int(nbrs[k])
-            d_current = float(dists[k])
+            d_current = d_next
             hops.append((current, d_current))
         else:
             return SearchTrace(tuple(hops), computed, "self")

@@ -88,11 +88,29 @@ class EuclideanSpace(MetricSpace):
         The one place the norm is evaluated: the grid paths call it on
         gathered row pairs, so they compute every distance with the same
         operations, in the same order, as ``distances``.
+
+        ``diff = a - b`` is squared (L2) or made absolute (L-inf) in place,
+        then folded axis by axis, in axis order, into one output: squares
+        summed left to right and the root taken in place, or a running
+        maximum.  One ufunc call per axis replaces numpy's reduction over a
+        last axis of length d, which costs several times more on the short
+        rows of a greedy hop.  Below 8 lanes numpy's ``sum(axis=-1)`` adds
+        left to right too, so for d <= 7 the distances equal
+        ``np.sqrt((diff * diff).sum(-1))`` bit for bit on row and broadcast
+        shapes; at d >= 8 numpy splits the sum over 8 accumulators, and an
+        L2 distance may differ from that formula in the last place.
         """
         diff = a - b
         if self.norm == "l2":
-            return np.sqrt((diff * diff).sum(axis=-1))
-        return np.abs(diff).max(axis=-1)
+            np.multiply(diff, diff, out=diff)
+            fold = np.add
+        else:
+            np.abs(diff, out=diff)
+            fold = np.maximum
+        out = diff[..., 0].copy()
+        for k in range(1, diff.shape[-1]):
+            fold(out, diff[..., k], out=out)
+        return np.sqrt(out, out=out) if self.norm == "l2" else out
 
     def distance(self, a, b) -> float:
         a = np.asarray(a, dtype=np.float64)
@@ -109,11 +127,15 @@ def _id_array(elements, stop: int, message: str) -> np.ndarray:
 
     Fractional, nan and inf ids are rejected before any could be truncated
     into a valid one, then the first id outside the range;
-    ``message.format(id)`` is the ``DomainError`` text.  An int64 array takes
-    one comparison: viewed unsigned, a negative id lands past 2**63 >= stop.
+    ``message.format(id)`` is the ``DomainError`` text.  An int64 array is
+    cleared by one maximum: viewed unsigned, a negative id lands past
+    2**63 >= stop.  The mask that finds the first bad id is built only when
+    that test fails.
     """
     ids = np.asarray(elements)
     if ids.dtype == np.int64:
+        if ids.view(np.uint64).max(initial=0) < stop:
+            return ids
         bad = ids.view(np.uint64) >= stop
     else:
         if ids.dtype.kind not in "iu":
@@ -408,7 +430,7 @@ def _sorted_neighbour_bound(space: EuclideanSpace, points: np.ndarray) -> float:
     """Smallest distance between neighbours of a stable sort along any axis."""
     best = np.inf
     for axis in range(points.shape[1]):
-        s = points[np.argsort(points[:, axis], kind="stable")]
+        s = points.take(np.argsort(points[:, axis], kind="stable"), axis=0)
         best = min(best, float(space._pair_distances(s[1:], s[:-1]).min()))
     return best
 
@@ -431,7 +453,8 @@ def _min_distance_grid(space: EuclideanSpace, points: np.ndarray, side: float) -
         c = order[pos]
         q, c = q[c > q], c[c > q]  # each pair once
         if len(q):
-            best = min(best, float(space._pair_distances(points[q], points[c]).min()))
+            d = space._pair_distances(points.take(q, axis=0), points.take(c, axis=0))
+            best = min(best, float(d.min()))
     return best
 
 

@@ -182,7 +182,7 @@ def _level_balls_grid(
     codes = [np.empty(0, dtype=np.int64)]
     for p, pos in neighbour_pairs(mkeys[order], keys, shifts):
         y = members[order[pos]]
-        inside = space._pair_distances(points[y], points[p]) <= thr
+        inside = space._pair_distances(points.take(y, axis=0), points.take(p, axis=0)) <= thr
         codes.append(p[inside] * n + y[inside])
     return np.sort(np.concatenate(codes))
 
@@ -273,8 +273,9 @@ def verify_net_pg_properties(
     oracle = build_net_pg_naive(space, pts, epsilon, hierarchy=hierarchy)
     want = oracle.out_edges
     src = np.repeat(np.arange(n), np.diff(oracle.offsets))
+    points = pts.points
     length = np.concatenate(
-        [space.distances(pts.points[row], pts.points[p]) for p, row in enumerate(want)]
+        [space.distances(points.take(row, axis=0), points[p]) for p, row in enumerate(want)]
     )
     for level in range(hierarchy.top_level + 1):
         radius = float(2.0 ** level)

@@ -92,15 +92,16 @@ def greedy_r_net(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray
 
 def _greedy_r_net_linear(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray:
     """The definitional sweep: one distance row per point against the accepted."""
-    accepted: list[int] = []
-    for i in range(pts.n):
-        if not accepted:
-            accepted.append(i)
-            continue
-        row = space.distances(pts.points[np.asarray(accepted)], pts.points[i])
+    points = pts.points
+    accepted = np.empty(pts.n, dtype=np.int64)
+    accepted[0] = 0
+    count = 1
+    for i in range(1, pts.n):
+        row = space.distances(points.take(accepted[:count], axis=0), points[i])
         if (row >= radius).all():
-            accepted.append(i)
-    return np.asarray(accepted, dtype=np.int64)
+            accepted[count] = i
+            count += 1
+    return accepted[:count].copy()
 
 
 #: Points decided per step of the grid sweep.
@@ -137,8 +138,8 @@ def _greedy_r_net_grid(space: EuclideanSpace, pts: PointSet, radius: float) -> n
         block = np.arange(start, min(start + NET_BLOCK, pts.n))
         rejected = np.zeros(len(block), dtype=bool)
         for q, pos in neighbour_pairs(acc_keys, keys[block], shifts):
-            close = space._pair_distances(points[block[q]], points[acc_rows[pos]]) < radius
-            rejected[q[close]] = True
+            a, b = points.take(block[q], axis=0), points.take(acc_rows[pos], axis=0)
+            rejected[q[space._pair_distances(a, b) < radius]] = True
         block = block[~rejected]
         if len(block) == 0:
             continue
@@ -148,7 +149,8 @@ def _greedy_r_net_grid(space: EuclideanSpace, pts: PointSet, radius: float) -> n
         for q, pos in neighbour_pairs(bkeys[order], bkeys, shifts):
             c = order[pos]
             q, c = q[c < q], c[c < q]
-            close = space._pair_distances(points[block[q]], points[block[c]]) < radius
+            a, b = points.take(block[q], axis=0), points.take(block[c], axis=0)
+            close = space._pair_distances(a, b) < radius
             later.append(q[close])
             earlier.append(c[close])
         keep = [True] * len(block)

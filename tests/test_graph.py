@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navgraph import (
+    BlockMetricSpace,
     DomainError,
     EuclideanSpace,
     NavigabilityWitness,
     PointSet,
     ProximityGraph,
+    SearchTrace,
     TreeMetricSpace,
     build_euclid_pg,
     build_net_pg_fast,
@@ -24,7 +26,12 @@ from navgraph import (
     segment_min,
     standard_query_set,
 )
-from navgraph.graph import BLOCK_CELLS, _check_query_distance, _check_query_shape
+from navgraph.graph import (
+    BLOCK_CELLS,
+    _check_query_distance,
+    _check_query_shape,
+    _greedy_engine,
+)
 from conftest import uniform_points
 
 SPACE1 = EuclideanSpace(1)
@@ -388,3 +395,82 @@ def test_routing_entries_reject_out_of_domain_query(small_instance, q, problem):
     for entry in entries:
         with pytest.raises(DomainError, match=problem):
             entry()
+
+
+def _literal_trace(graph, space, pts, start, q, budget=None, mask=None, cap=None):
+    """The greedy rule one scalar ``distance`` at a time, charged as it is spent.
+
+    A scan that reaches the budget stops there: a move needs the whole scan
+    plus spare budget.  The first strictly smaller distance wins, so ties go
+    to the smallest index (rows are ascending).
+    """
+    current, computed = start, 1
+    d_current = space.distance(pts.points[start], q)
+    hops = [(current, d_current)]
+    seen = 0
+    while True:
+        if mask is not None and mask[current]:
+            seen += 1
+            if cap is not None and seen >= cap:
+                return SearchTrace(tuple(hops), computed, "jackpot")
+        if budget is not None and computed >= budget:
+            return SearchTrace(tuple(hops), computed, "budget")
+        best, d_best = None, None
+        for t in graph.out_edges[current].tolist():
+            d = space.distance(pts.points[t], q)
+            computed += 1
+            if budget is not None and computed >= budget:
+                return SearchTrace(tuple(hops), computed, "budget")
+            if d_best is None or d < d_best:
+                best, d_best = t, d
+        if best is None or not d_best < d_current:
+            return SearchTrace(tuple(hops), computed, "self")
+        current, d_current = best, d_best
+        hops.append((current, d_current))
+
+
+def _hop_instance(kind, d, seed):
+    """(space, points, query) with many distance ties: lattice, tree or blocks."""
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        leaves = rng.choice(1 << 8, size=30, replace=False)
+        return TreeMetricSpace(8), PointSet(leaves), int(rng.integers(1 << 8))
+    if kind == "block":
+        coords = np.array([(b * 6 + x, y) for b in range(3) for x in range(3) for y in range(3)])
+        space = BlockMetricSpace(coords, 3, int(rng.integers(len(coords))))
+        return space, PointSet(np.arange(len(coords))), space.query_id
+    lattice = np.unique(rng.integers(-3, 4, size=(30, d)).astype(np.float64), axis=0)
+    query = rng.integers(-4, 5, size=d) / 2.0
+    return EuclideanSpace(d, kind), PointSet(rng.permutation(lattice)), query
+
+
+@given(
+    st.sampled_from(["l2", "linf", "tree", "block"]),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+    st.sampled_from([1, 2, 3, 5, 8, 13, 40, None]),
+)
+@settings(max_examples=80, deadline=None)
+def test_engine_equals_the_literal_hop_oracle(kind, d, seed, budget):
+    space, pts, q = _hop_instance(kind, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    n = pts.n
+    rows = [np.unique(rng.integers(0, n, size=rng.integers(0, 9))) for _ in range(n)]
+    g = ProximityGraph(n, [r[r != v] for v, r in enumerate(rows)])
+    jackpots = rng.choice(n, size=n // 4, replace=False)
+    mask = np.zeros(n, dtype=bool)
+    mask[jackpots] = True
+    row = space.distances(pts.points, q)
+    for start in range(0, n, 4):
+        want = _literal_trace(g, space, pts, start, q, budget=budget)
+        assert greedy_search(g, space, pts, start, q, budget=budget) == want
+        assert _greedy_engine(g, space, pts, start, q, budget=budget, row=row) == want
+        for cap in (1, 2, 3):
+            want = _literal_trace(g, space, pts, start, q, mask=mask, cap=cap)
+            got = _greedy_engine(g, space, pts, start, q, jackpot_mask=mask, jackpot_cap=cap)
+            assert got == want
+        # jackpot_query's cap for aspect ratio 1 is 1 + ceil(log2 2) = 2
+        _, trace = jackpot_query(g, space, pts, start, q, jackpots, 1.0)
+        want = _literal_trace(g, space, pts, start, q, mask=mask, cap=2)
+        got = (trace.hops, trace.distance_computations, trace.terminated)
+        assert got == (want.hops, want.distance_computations, want.terminated)

@@ -434,7 +434,7 @@ def test_cross_distances_shape_and_values():
 window_coord = st.builds(np.ldexp, st.floats(-1.999, 1.999), st.integers(-500, 499))
 
 
-@given(st.integers(1, 3), st.sampled_from(["l2", "linf"]), st.data())
+@given(st.integers(1, 7), st.sampled_from(["l2", "linf"]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_cross_distances_broadcast_equals_the_rows(d, norm, data):
     space = EuclideanSpace(d, norm)
@@ -443,6 +443,31 @@ def test_cross_distances_broadcast_equals_the_rows(d, norm, data):
     b = np.array(data.draw(point_lists), dtype=np.float64)
     rows = np.array([space.distances(b, x) for x in a])
     assert cross_distances(space, a, b).tobytes() == rows.tobytes()  # bit for bit
+
+
+@given(st.integers(1, 7), st.sampled_from(["l2", "linf"]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_norm_kernel_equals_the_reduction_formula(d, norm, data):
+    # the per-axis fold against numpy's reductions over the last axis, bit
+    # for bit below 8 lanes, on a row against rows, pairs of rows and the
+    # (b, a, d) broadcast that cross_distances takes; coordinates of one
+    # scale make squares of like size, whose sum the order of addition moves
+    space = EuclideanSpace(d, norm)
+    coord = window_coord | st.floats(-1.0, 1.0)
+    point_lists = st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=9)
+    a = np.array(data.draw(point_lists), dtype=np.float64)
+    b = np.array(data.draw(point_lists), dtype=np.float64)
+
+    def reduction(x, y):
+        diff = x - y
+        return np.sqrt((diff * diff).sum(-1)) if norm == "l2" else np.abs(diff).max(-1)
+
+    pairs = [(a, b[0]), (b[None], a[:, None]), (a[: len(b)], b[: len(a)])]
+    for x, y in pairs:
+        want = reduction(x, y)
+        got = space._pair_distances(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_estimate_extremes_brackets_truth():

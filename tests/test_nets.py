@@ -9,6 +9,7 @@ from navgraph import (
     DomainError,
     EuclideanSpace,
     PointSet,
+    TreeMetricSpace,
     build_net_hierarchy,
     greedy_r_net,
     normalize,
@@ -43,6 +44,34 @@ def test_net_invariants_by_direct_loop(seed, n, radius):
         assert any(
             space.distance(pts.points[i], pts.points[m]) <= radius for m in members
         )
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 30),
+    st.sampled_from(["l2", "linf", "tree"]),
+    st.integers(1, 3),
+    st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0, 0.3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radius):
+    # the sweep's rule with a scalar distance per (point, accepted) pair
+    from navgraph.nets import _greedy_r_net_linear
+
+    rng = np.random.default_rng(seed)
+    if kind == "tree":
+        space = TreeMetricSpace(6)
+        pts = PointSet(rng.choice(64, size=min(n, 64), replace=False))
+    else:
+        space = EuclideanSpace(d, norm=kind)
+        pts = PointSet(np.unique(rng.integers(-4, 5, size=(n, d)) / 2.0, axis=0))
+    accepted = []
+    for i in range(pts.n):
+        if all(space.distance(pts.points[j], pts.points[i]) >= radius for j in accepted):
+            accepted.append(i)
+    got = _greedy_r_net_linear(space, pts, radius)
+    assert got.dtype == np.int64
+    assert got.tolist() == accepted
 
 
 def test_verify_r_net_flags_planted_violations():

@@ -314,13 +314,13 @@ def cmd_verify_navigable(args) -> int:
 
 
 def cmd_verify_net_props(args) -> int:
+    graph = load_graph(args.graph)
     pts = load_points(args.points)
     space = _space_for(pts, args.metric, args.tree_height)
     norm = normalize(space, pts)
-    g = build_net_pg(norm.space, norm.points, args.eps)
-    violation = verify_net_pg_properties(norm.space, norm.points, g)
+    violation = verify_net_pg_properties(norm.space, norm.points, graph, epsilon=args.eps)
     if violation is None:
-        print(f"net-props: pass ({g.n} vertices, {g.edge_count} edges)")
+        print(f"net-props: pass ({graph.n} vertices, {graph.edge_count} edges)")
         return 0
     print(
         f"net-props: FAIL {violation.kind} at vertex {violation.vertex} "
@@ -423,7 +423,7 @@ BENCH_QUERIES = 1000
 BENCH_ABOUT = (
     "Rows of navgraph bench. Net rows (eps=1; 2D inputs from default_rng(1), or "
     "one leaf per subtree of a height-20 tree) time normalize, build_net_hierarchy "
-    "(estimate_extremes included), build_net_pg given the hierarchy, save_graph, "
+    "(its distance extremes included), build_net_pg given the hierarchy, save_graph, "
     "load_graph (in a fresh interpreter; load_added_peak_rss_mb is how far it "
     "raises the peak RSS, VmHWM, of a process that has only imported navgraph), "
     "build_theta_graph at eps/32 (2D only), route: 1000 greedy queries from "
@@ -702,6 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_nav.set_defaults(func=cmd_verify_navigable)
 
     v_props = vsub.add_parser("net-props")
+    v_props.add_argument("--graph", required=True)
     v_props.add_argument("--points", required=True)
     v_props.add_argument("--eps", type=float, required=True)
     _add_metric_flags(v_props)

@@ -265,10 +265,10 @@ def verify_net_pg_properties(
         if "params" not in graph.meta:
             raise DomainError("no epsilon: pass epsilon or a graph with build meta")
         epsilon = graph.meta["params"].epsilon
-    if hierarchy is None:
-        hierarchy = graph.meta.get("hierarchy") or build_net_hierarchy(space, pts)
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
+    if hierarchy is None:
+        hierarchy = graph.meta.get("hierarchy") or build_net_hierarchy(space, pts)
     n = pts.n
     oracle = build_net_pg_naive(space, pts, epsilon, hierarchy=hierarchy)
     want = oracle.out_edges

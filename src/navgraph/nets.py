@@ -6,10 +6,12 @@ point).  The hierarchy stacks nets at radii 2^0, 2^1, ..., 2^top_level over a
 point set normalized so its minimum inter-point distance is 2, which makes
 level 0 the whole set.
 
-``greedy_r_net`` sweeps coordinate inputs through a grid of cell side r at
-these power-of-two radii, testing each point only against the accepted
-points in the 3^d cells around its own; the linear sweep stays for other
-radii and abstract metrics, and as the grid's oracle.
+Coordinate inputs are swept through a grid of cell side r at these
+power-of-two radii, each point tested only against the accepted points in
+the 3^d cells around its own.  Every level the grid does not take, which on
+abstract metrics is every level, is decided by one linear sweep over all
+radii at once: one distance row per point.  That sweep is also the grid's
+oracle.
 """
 
 from __future__ import annotations
@@ -70,38 +72,71 @@ def greedy_r_net(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray
     point within r.  Deterministic: no RNG, ties resolved by index order.
 
     Coordinate inputs at a power-of-two radius, the radii the hierarchy
-    uses, take the grid sweep when their cell indices fit in int64 and the
-    3^d cells a point looks up are fewer than a third of the points: on
-    uniform input at d = 4 to 7 the grid overtakes the linear sweep between
-    1.5 and 3 times 3^d points.  Other inputs take the linear sweep, which
-    is also the grid's oracle.
+    uses, take the grid sweep when ``_on_grid`` says so.  Other inputs take
+    the linear sweep at this one radius, which is also the grid's oracle.
     """
     if radius <= 0:
         raise DomainError(f"net radius must be positive, got {radius}")
-    grid = (
+    if _on_grid(space, pts, radius):
+        return _greedy_r_net_grid(space, pts, radius)
+    return _greedy_r_net_linear(space, pts, radius)
+
+
+def _on_grid(space: MetricSpace, pts: PointSet, radius: float) -> bool:
+    """Whether the net at ``radius`` takes the grid sweep.
+
+    Coordinate inputs at a power of two whose cell indices fit in int64, and
+    whose 3^d cells a point looks up are fewer than a third of the points:
+    on uniform input at d = 4 to 7 the grid overtakes the linear sweep
+    between 1.5 and 3 times 3^d points.
+    """
+    return (
         not pts.is_abstract
         and isinstance(space, EuclideanSpace)
         and math.frexp(radius)[0] == 0.5  # a power of two
         and 3 ** (pts.dim + 1) < pts.n
         and fits(pts.points, radius)
     )
-    if grid:
-        return _greedy_r_net_grid(space, pts, radius)
-    return _greedy_r_net_linear(space, pts, radius)
 
 
 def _greedy_r_net_linear(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray:
-    """The definitional sweep: one distance row per point against the accepted."""
+    """The definitional sweep at one radius."""
+    return _greedy_sweep(space, pts, [radius])[0][0]
+
+
+def _greedy_sweep(space: MetricSpace, pts: PointSet, radii) -> tuple[list[np.ndarray], float]:
+    """The linear sweep's net at each of ``radii``, and the least distance measured.
+
+    Points go in index order.  Point i takes one distance row against the
+    points accepted at some radius so far (``seen``, ascending) and joins
+    the net at radius r iff ``row >= r`` for every seen member of that net:
+    the sweep's rule, NaN included, as a net's members are all seen.  At one
+    radius the seen points are the net, so the calls and rows are the
+    single-radius sweep's.  When some net keeps every point, every pair is
+    measured exactly once and the least distance is the exact minimum.
+    """
+    if len(radii) == 0:
+        return [], np.inf
     points = pts.points
-    accepted = np.empty(pts.n, dtype=np.int64)
-    accepted[0] = 0
-    count = 1
+    radii = np.asarray(radii, dtype=np.float64)[:, None]
+    seen = np.empty(pts.n, dtype=np.int64)
+    seen[0] = 0
+    outside = np.zeros((len(radii), pts.n), dtype=bool)  # [k, s]: seen[s] not in net k
+    count, least = 1, np.inf
     for i in range(1, pts.n):
-        row = space.distances(points.take(accepted[:count], axis=0), points[i])
-        if (row >= radius).all():
-            accepted[count] = i
+        row = space.distances(points.take(seen[:count], axis=0), points[i])
+        low = row.min()
+        if low < least:
+            least = low
+        far = row >= radii
+        far |= outside[:, :count]
+        joins = far.all(axis=1)
+        if joins.any():
+            outside[:, count] = ~joins
+            seen[count] = i
             count += 1
-    return accepted[:count].copy()
+    seen = seen[:count]
+    return [seen[~out[:count]] for out in outside], float(least)
 
 
 #: Points decided per step of the grid sweep.
@@ -227,27 +262,45 @@ def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
 
     Requires minimum inter-point distance 2 (within relative tolerance); use
     :func:`navgraph.netpg.normalize` to bring raw inputs into that form.  The
-    extremes come from ``estimate_extremes`` on the points themselves.  The
     top level is ceil(log2(twice the anchor's farthest distance)), so its
     radius is at least the diameter and twice every point's distance to
-    point 0: the coarsest net is {0}.
+    point 0: the coarsest net is {0}.  Levels the grid does not take go
+    through one ``_greedy_sweep``.
+
+    Coordinate inputs take their extremes from ``estimate_extremes``, which
+    also enforces the range window.  Abstract inputs take the anchor row
+    themselves, and the minimum from the sweep: on a normalised input the
+    radius-2 net keeps every point, so the sweep has measured every pair
+    once and its least distance is ``pairwise_min_distance``'s, bit for bit.
+    Where that net lost a point, ``estimate_extremes`` runs after all and
+    rejects the input with its own message or the one below.
     """
     if pts.n < 2:
         raise DomainError("a net hierarchy needs at least two points")
-    extremes = estimate_extremes(space, pts)
+    if pts.is_abstract:
+        extremes = None
+        dmax = 2.0 * float(space.distances(pts.points, pts.points[0]).max())
+    else:
+        extremes = estimate_extremes(space, pts)
+        dmax = extremes.max_distance
+    top = ceil_log2(dmax) if dmax > 0 else 0  # 0 if degenerate: estimate_extremes says why
+    radii = [float(2.0**i) for i in range(top + 1)]
+    linear = [r for r in radii[1:] if not _on_grid(space, pts, r)]
+    swept, least = _greedy_sweep(space, pts, linear)
+    if extremes is None:
+        if linear[:1] == [2.0] and len(swept[0]) == pts.n:
+            extremes = ExtremeEstimate(min_distance=least / 2.0, max_distance=dmax)
+        else:
+            extremes = estimate_extremes(space, pts)
     observed_min = 2.0 * extremes.min_distance  # the estimate halves it
     if abs(observed_min - 2.0) > MIN_DISTANCE_RTOL * 2.0:
         raise DomainError(
             f"point set is not normalized: min distance {observed_min}, expected 2"
         )
-    top = ceil_log2(extremes.max_distance)
-    levels = []
-    all_indices = np.arange(pts.n, dtype=np.int64)
-    for i in range(top + 1):
-        radius = float(2.0 ** i)
-        if i == 0:
-            members = all_indices
-        else:
-            members = greedy_r_net(space, pts, radius)
-        levels.append(Net(radius=radius, members=members))
+    nets = dict(zip(linear, swept))
+    nets[1.0] = np.arange(pts.n, dtype=np.int64)
+    levels = [
+        Net(radius=r, members=nets[r] if r in nets else greedy_r_net(space, pts, r))
+        for r in radii
+    ]
     return NetHierarchy(top, tuple(levels), extremes)

@@ -7,6 +7,7 @@ import pytest
 
 from navgraph import (
     EuclideanSpace,
+    ProximityGraph,
     build_euclid_pg,
     file_digest,
     load_graph,
@@ -266,9 +267,24 @@ def test_verify_family_subcommands(tmp_path):
     assert run(["verify", "forced-tree", "--n", 3, "--delta", 8]) == 2
 
 
-def test_verify_net_props_via_cli(workspace):
+def test_verify_net_props_via_cli(workspace, capsys):
     tmp, pts = workspace
-    assert run(["verify", "net-props", "--points", pts, "--eps", 1.0]) == 0
+    graph = tmp / "g.txt"
+    assert run(["build", "net", "--eps", 1.0, "--in", pts, "--out", graph]) == 0
+    props = ["verify", "net-props", "--graph", graph, "--points", pts, "--eps", 1.0]
+    assert run(props) == 0
+    # the file is what is checked: drop one edge and it fails
+    g = load_graph(graph)
+    rows = list(g.out_edges)
+    rows[3] = rows[3][1:]
+    save_graph(graph, ProximityGraph(g.n, rows))
+    capsys.readouterr()
+    assert run(props) == 1
+    assert "FAIL edge-set-mismatch at vertex 3" in capsys.readouterr().out
+    # a graph over another point count is an input error
+    other = tmp / "pts60.txt"
+    assert run(["gen", "uniform", "--n", 60, "--d", 2, "--seed", 3, "--out", other]) == 0
+    assert run(["verify", "net-props", "--graph", graph, "--points", other, "--eps", 1.0]) == 2
 
 
 def test_tree_metric_build_and_verify_via_cli(tmp_path, capsys):
@@ -279,12 +295,13 @@ def test_tree_metric_build_and_verify_via_cli(tmp_path, capsys):
     tree = ["--metric", "tree", "--tree-height", 12]
     assert run(["build", "net", "--eps", 1.0, "--in", leaves, "--out", graph, *tree]) == 0
     assert load_graph(graph).edge_count == 93
-    assert run(["verify", "net-props", "--points", leaves, "--eps", 1.0, *tree]) == 0
+    props = ["verify", "net-props", "--graph", graph, "--points", leaves, "--eps", 1.0]
+    assert run([*props, *tree]) == 0
     assert "93 edges" in capsys.readouterr().out
     # leaf 64 does not exist in a height-6 tree
     short = ["--metric", "tree", "--tree-height", 6]
     assert run(["build", "net", "--eps", 1.0, "--in", leaves, "--out", graph, *short]) == 2
-    assert run(["verify", "net-props", "--points", leaves, "--eps", 1.0, *short]) == 2
+    assert run([*props, *short]) == 2
 
 
 def test_bench_pins_machine_independent_outputs(tmp_path):

@@ -1,20 +1,27 @@
 """Greedy r-nets and the level hierarchy: invariants plus a hand-checked set."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from navgraph import (
+    BlockMetricSpace,
     DomainError,
     EuclideanSpace,
     PointSet,
+    ScaledSpace,
     TreeMetricSpace,
     build_net_hierarchy,
+    estimate_extremes,
     greedy_r_net,
     normalize,
+    pairwise_min_distance,
     verify_r_net,
 )
+from navgraph._util import ceil_log2
 from conftest import uniform_points
 
 
@@ -46,17 +53,33 @@ def test_net_invariants_by_direct_loop(seed, n, radius):
         )
 
 
+def _literal_net(space, pts, radius):
+    """The sweep's rule with a scalar distance per (point, accepted) pair."""
+    accepted = []
+    for i in range(pts.n):
+        if all(space.distance(pts.points[j], pts.points[i]) >= radius for j in accepted):
+            accepted.append(i)
+    return accepted
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.integers(1, 30),
     st.sampled_from(["l2", "linf", "tree"]),
     st.integers(1, 3),
-    st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0, 0.3]),
+    st.lists(
+        st.one_of(
+            st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0]),
+            st.floats(0.05, 10.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
 )
 @settings(max_examples=60, deadline=None)
-def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radius):
-    # the sweep's rule with a scalar distance per (point, accepted) pair
-    from navgraph.nets import _greedy_r_net_linear
+def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radii):
+    # every radius of one sweep gets the net the literal loop gives it alone
+    from navgraph.nets import _greedy_r_net_linear, _greedy_sweep
 
     rng = np.random.default_rng(seed)
     if kind == "tree":
@@ -65,13 +88,100 @@ def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radius):
     else:
         space = EuclideanSpace(d, norm=kind)
         pts = PointSet(np.unique(rng.integers(-4, 5, size=(n, d)) / 2.0, axis=0))
-    accepted = []
-    for i in range(pts.n):
-        if all(space.distance(pts.points[j], pts.points[i]) >= radius for j in accepted):
-            accepted.append(i)
-    got = _greedy_r_net_linear(space, pts, radius)
-    assert got.dtype == np.int64
-    assert got.tolist() == accepted
+    nets, _ = _greedy_sweep(space, pts, radii)
+    assert len(nets) == len(radii)
+    for radius, got in zip(radii, nets):
+        assert got.dtype == np.int64
+        assert got.tolist() == _literal_net(space, pts, radius), radius
+    single = _greedy_r_net_linear(space, pts, radii[0])
+    assert single.dtype == np.int64 and np.array_equal(single, nets[0])
+
+
+def _abstract_inputs():
+    rng = np.random.default_rng(5)
+    for seed in range(6):
+        height = 4 + seed
+        leaves = rng.choice(2**height, size=min(3 + 5 * seed, 2**height), replace=False)
+        yield TreeMetricSpace(height), PointSet(leaves)
+        coords = np.unique(rng.integers(0, 12, size=(4 + 4 * seed, 2)), axis=0)
+        yield BlockMetricSpace(coords, 3, 0), PointSet(np.arange(len(coords)))
+    for d, kind in [(1, "l2"), (2, "linf"), (2, "l2"), (3, "linf")]:
+        # at most 3^(d+1) points: every level skips the grid
+        yield EuclideanSpace(d, kind), uniform_points(3 ** (d + 1), d, seed=d)
+
+
+@pytest.mark.parametrize("case", range(16))
+def test_swept_hierarchy_matches_its_definition(case):
+    space, pts = list(_abstract_inputs())[case]
+    norm = normalize(space, pts)
+    h = build_net_hierarchy(norm.space, norm.points)
+    want = estimate_extremes(norm.space, norm.points)
+    assert h.extremes.min_distance == want.min_distance
+    assert h.extremes.max_distance == want.max_distance
+    assert h.top_level == ceil_log2(want.max_distance)
+    assert h.members(0).tolist() == list(range(pts.n))
+    for level in range(1, h.top_level + 1):
+        got = h.members(level)
+        assert got.dtype == np.int64
+        assert got.tolist() == _literal_net(norm.space, norm.points, 2.0**level), level
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ([0, 2, 4], 1.0, None),  # minimum 4
+        ([0, 4, 8, 16], 1.0, None),  # minimum 8
+        ([0, 1, 2, 4, 7], 0.5, None),  # minimum 1
+        ([[0, 0], [0, 0]], 1.0, "degenerate point set: zero minimum distance"),
+        ([[0, 0], [5, 0], [5, 0]], 1.0, "degenerate point set: zero minimum distance"),
+    ],
+)
+def test_swept_hierarchy_rejects_unnormalised_input(case):
+    # trees whose minimum is not 2, and blocks sharing a coordinate row
+    ids, factor, message = case
+    if message is None:
+        space, pts = ScaledSpace(TreeMetricSpace(5), factor), PointSet(np.array(ids))
+        least = pairwise_min_distance(space, pts)
+        message = f"point set is not normalized: min distance {least}, expected 2"
+    else:
+        space, pts = BlockMetricSpace(np.array(ids), 3, 0), PointSet(np.arange(len(ids)))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build_net_hierarchy(space, pts)
+
+
+class _CountingTree(TreeMetricSpace):
+    calls = rows = 0
+
+    def distances(self, elements, x):
+        out = super().distances(elements, x)
+        self.calls += 1
+        self.rows += len(out)
+        return out
+
+
+def test_hierarchy_distance_counts_by_hand():
+    # leaves 0, 1, 2, 4, 7 of a height-3 tree: pairs at 2 (0-1), 4 (0-2,
+    # 1-2, 4-7) and 8 (the other six); the anchor row peaks at 8, so the
+    # levels run to ceil(log2(16)) = 4
+    space = _CountingTree(3)
+    norm = normalize(space, PointSet(np.array([0, 1, 2, 4, 7])))
+    assert (space.calls, space.rows) == (5, 25)  # the pairwise minimum
+    h = build_net_hierarchy(norm.space, norm.points)
+    # the anchor row, then points 1..4 each against every earlier point:
+    # the radius-2 net keeps all five
+    assert (space.calls, space.rows) == (5 + 1 + 4, 25 + 5 + 10)
+    assert [len(net.members) for net in h.levels] == [5, 5, 4, 2, 1]
+
+
+def test_hierarchy_measures_each_pair_once():
+    n = 256
+    rng = np.random.default_rng(1)
+    leaves = np.arange(n) * 64 + rng.integers(0, 64, size=n)  # one per subtree
+    space = _CountingTree(14)
+    norm = normalize(space, PointSet(leaves))
+    before = space.rows
+    build_net_hierarchy(norm.space, norm.points)
+    assert space.rows - before == n + n * (n - 1) // 2
 
 
 def test_verify_r_net_flags_planted_violations():

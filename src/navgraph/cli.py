@@ -11,6 +11,7 @@ aside, manifests are deterministic too).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import subprocess
@@ -426,7 +427,8 @@ BENCH_ABOUT = (
     "(its distance extremes included), build_net_pg given the hierarchy, save_graph, "
     "load_graph (in a fresh interpreter; load_added_peak_rss_mb is how far it "
     "raises the peak RSS, VmHWM, of a process that has only imported navgraph), "
-    "build_theta_graph at eps/32 (2D only), route: 1000 greedy queries from "
+    "build_theta_graph at eps/32 (2D only; theta_sha256 is the sha256 of its edge "
+    "codes v*n+t, ascending, then its edge_cones, each as little-endian int64), route: 1000 greedy queries from "
     "default_rng(2) with their per-query distance computations at p50 and p99, "
     "navigable: "
     "check_navigable of the net graph on those queries, scaled to the normalised "
@@ -583,6 +585,9 @@ def _bench_net(kind: str, n: int, repeats: int) -> dict:
     }
     if not tree:
         row["theta_edges"] = theta.edge_count
+        digest = hashlib.sha256(theta.edge_keys().astype("<i8").tobytes())
+        digest.update(theta.meta["edge_cones"].astype("<i8").tobytes())
+        row["theta_sha256"] = digest.hexdigest()
     return row
 
 

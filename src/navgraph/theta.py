@@ -28,8 +28,9 @@ atan2(y, x) (d=3).  A vector clear of its cell's faces lies in that cell's
 cone alone; the others are tested with the closed halfspace tests on the
 cones of their cell and the neighbouring cells, and a vector on the z axis
 (x = y = 0) on every cone of its pole band, of which the pole is a corner.
-Per (apex, cone) the winner comes from one sort and a grouped minimum, so a
-build costs O(n^2 log n) whatever the cone count.
+Per (apex, cone) the winner comes from two minimum passes into a dense
+(apex, cone) table, with no sort, so a build does O(n^2) pair work whatever
+the cone count.
 
 The module also houses three closed-form scalar inequalities that the
 navigability argument for theta-graphs leans on; they are checked on dense
@@ -157,8 +158,8 @@ def _build_sphere_cells(theta: float) -> ConeFamily:
 
 def build_cone_family(dim: int, theta: float) -> ConeFamily:
     """Covering cone family with angular diameter <= theta per cone."""
-    if not (0.0 < theta < math.pi):
-        raise DomainError(f"theta must be in (0, pi), got {theta}")
+    if not (_THETA_FLOOR <= theta < math.pi):
+        raise DomainError(f"theta must be in [{_THETA_FLOOR}, pi), got {theta}")
     if dim == 2:
         return _build_sectors(theta)
     if dim == 3:
@@ -198,15 +199,27 @@ def nearest_point_on_ray(
 
 
 #: (apex, target) pairs per block of apexes.  It bounds the builder's
-#: temporaries whatever n and the cone count, and keeps each int64 one at
-#: 64 KB: with 128 KB ones the process kept about 1 MB more resident on the
-#: same build, at no gain in speed
+#: per-pair temporaries whatever n, and keeps each int64 one at 64 KB: with
+#: 128 KB ones the process kept about 1 MB more resident on the same build,
+#: at no gain in speed
 _PAIR_BUDGET = 1 << 13
+
+#: (apex, cone) cells per block of apexes.  It bounds the two winner tables
+#: (16 MB each) when the cone count is large: at d=3, theta = 1/32 (162,006
+#: cones) and n = 600, a 2^18-cell cap, one apex per block, tripled the time
+_TABLE_BUDGET = 1 << 21
 
 #: a vector this far inside its grid cell (a fraction of the cell in d=2,
 #: of |rel|_1 on every face dot in d=3) lies in that cell's cone alone,
-#: however the closed tests round
+#: however the closed tests round.  In d=2 atan2, the sector scaling and
+#: the boundary normals' sin and cos each misplace an angle by a few ulps of
+#: 2 pi, about 1e-15 rad whatever the sector count k, while the margin is
+#: 1e-9 of a 2 pi / k cell, about 1e-9 * theta rad.  Vectors placed 1.2e-9
+#: of a cell inside a boundary broke the premise at theta = 1e-6 (1,143 of
+#: 708,861) and theta = 3e-7, and never at theta >= 2e-6 (1M vectors);
+#: ``_THETA_FLOOR`` keeps a 5x margin over that
 _CLEAR_MARGIN = 1e-9
+_THETA_FLOOR = 1e-5
 
 
 def _sector_turns(rel: np.ndarray, k: int) -> np.ndarray:
@@ -226,26 +239,25 @@ def _sphere_cells(family: ConeFamily, rel: np.ndarray):
     return np.minimum(band, n_lat - 1), column % n_lon, slot
 
 
-def _sole_cones(
-    family: ConeFamily, rel: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, cone) for the vectors that lie in exactly one cone, clear of
-    its faces by ``_CLEAR_MARGIN``; found from the angles alone in d=2."""
+def _cell_cones(family: ConeFamily, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector's cell cone, and the indices of the vectors that are not
+    clear of its faces by ``_CLEAR_MARGIN``.  A clear vector lies in its
+    cell cone alone; in d=2 the angles alone tell."""
     if family.dimension == 2:
         k = len(family)
         turn = _sector_turns(rel, k)
         sector = np.floor(turn)
-        frac = turn - sector
-        pair = np.flatnonzero((frac > _CLEAR_MARGIN) & (frac < 1.0 - _CLEAR_MARGIN))
-        return pair, sector[pair].astype(np.int64) % k
+        turn -= sector
+        unclear = (turn <= _CLEAR_MARGIN) | (turn >= 1.0 - _CLEAR_MARGIN)
+        return sector.astype(np.int64) % k, np.flatnonzero(unclear)
     band, column, slot = _sphere_cells(family, rel)
     cand = slot[band, column]  # the cell's two triangles
-    pair = np.repeat(np.arange(len(rel)), 2)[cand.ravel() >= 0]
-    cone = cand[cand >= 0]
-    dots = np.einsum("emd,ed->em", family.normals[cone], rel[pair])
-    slack = _CLEAR_MARGIN * np.abs(rel[pair]).sum(axis=1)
-    clear = (dots > slack[:, None]).all(axis=1)
-    return pair[clear], cone[clear]
+    tri = np.maximum(cand, 0)  # a collapsed one reads cone 0, never clear
+    dots = np.matmul(family.normals[tri].reshape(-1, 6, 3), rel[:, :, None])
+    slack = _CLEAR_MARGIN * np.abs(rel).sum(axis=1)
+    clear = (dots.reshape(-1, 2, 3) > slack[:, None, None]).all(axis=2) & (cand >= 0)
+    cell = np.where(clear[:, 1], tri[:, 1], tri[:, 0])
+    return cell, np.flatnonzero(~clear.any(axis=1))
 
 
 def _candidate_cones(
@@ -288,32 +300,38 @@ def _candidate_cones(
     )
 
 
-def _containing_cones(
-    family: ConeFamily, rel: np.ndarray
+def _near_cones(
+    family: ConeFamily, rel: np.ndarray, near: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(pair, cone) lists of every cone whose closed test nonzero rel[pair] passes.
+    """(pair, cone) lists of every cone whose closed test rel[pair] passes,
+    for the nonzero vectors among rel[near].
 
-    Vectors clear of their cell's faces lie in one cone
-    (``_sole_cones``).  The rest are tested on all their candidate cones
-    with the same closed test ``normals @ rel >= 0`` as ``cone_contains``,
-    so a vector on a shared boundary stays in both cones.
+    They are tested on all their candidate cones with the same closed test
+    ``normals @ rel >= 0`` as ``cone_contains``, so a vector on a shared
+    boundary stays in both cones.
     """
-    pair, cone = _sole_cones(family, rel)
-    near = rel.any(axis=1)  # the zero vector is the apex paired with itself
-    near[pair] = False
-    near = np.flatnonzero(near)
-    near_pair, near_cone = _candidate_cones(family, rel[near])
-    near_pair = near[near_pair]
-    inside = np.empty(len(near_pair), dtype=bool)
-    for s in range(0, len(near_pair), _PAIR_BUDGET):
+    near = near[rel[near].any(axis=1)]  # the zero vector is the apex itself
+    pair, cone = _candidate_cones(family, rel[near])
+    pair = near[pair]
+    inside = np.empty(len(pair), dtype=bool)
+    for s in range(0, len(pair), _PAIR_BUDGET):
         part = slice(s, s + _PAIR_BUDGET)
-        normals = family.normals[near_cone[part]]
-        dots = np.matmul(normals, rel[near_pair[part], :, None])
+        dots = np.matmul(family.normals[cone[part]], rel[pair[part], :, None])
         inside[part] = (dots >= 0.0).all(axis=(1, 2))
-    return (
-        np.concatenate([pair, near_pair[inside]]),
-        np.concatenate([cone, near_cone[inside]]),
-    )
+    return pair[inside], cone[inside]
+
+
+def _scores(family: ConeFamily, rel: np.ndarray, cone: np.ndarray) -> np.ndarray:
+    """|rel . ray| of each vector against its cone's ray.
+
+    Through np.matmul, as nearest_point_on_ray's ``rel @ ray``: both reach
+    the BLAS dot, which under numpy 2.4's OpenBLAS on x86-64 fuses the
+    two-term sum into fma(a1, b1, a0 * b0).  The plain a0 * b0 + a1 * b1
+    differed from it in 525,357 of 2,000,000 random pairs, so it would move
+    float ties between targets away from the oracle's.
+    """
+    rays = family.rays.take(cone, axis=0)
+    return np.abs(np.matmul(rel[:, None, :], rays[:, :, None])[:, 0, 0])
 
 
 def build_theta_graph(pts: PointSet, theta: float) -> ProximityGraph:
@@ -323,50 +341,56 @@ def build_theta_graph(pts: PointSet, theta: float) -> ProximityGraph:
     that family and, in ``edge_cones``, the smallest cone id that produced
     each edge, aligned with the graph's ``flat``.
 
-    Apexes go in blocks of about ``_PAIR_BUDGET`` (apex, target) pairs.  The
-    cones holding each pair's relative vector are found from its angles:
-    the vector's grid cell, confirmed where it lies near a face by the
-    closed halfspace tests on the cell's and its neighbours' cones; a d=3
-    vector with x = y = 0 is tested on every cone of its pole band
-    (``_containing_cones``).  Per (apex, cone) the smallest |rel . ray|
-    wins, ties to the smallest target, through one sort of the (apex, cone,
-    target) keys and a grouped minimum.  The cost is O(n^2 log n) whatever
-    the cone count; nothing of size (block x cones) is allocated.
+    Apexes go in blocks of at most ``_PAIR_BUDGET`` (apex, target) pairs and
+    ``_TABLE_BUDGET`` (apex, cone) cells.  Each pair's relative vector is
+    scored once, against the cone of its grid cell (``_cell_cones``).  A
+    vector near a face of that cell is instead tested with the closed
+    halfspace tests on the cell's and its neighbours' cones, and scored on
+    each cone that holds it; a d=3 vector with x = y = 0 is tested on every
+    cone of its pole band (``_near_cones``).  Per (apex, cone) the smallest
+    |rel . ray| wins, ties to the smallest target: two minimum passes into
+    an (apex, cone) table give the score and then the target.  An edge won
+    in several cones keeps the smallest, read off an (apex, target) table
+    that is already in edge order.  The pair work is O(n^2) whatever the
+    cone count, with no sort; the tables are cleared entry by entry.
     """
     if pts.is_abstract:
         raise DomainError("theta-graphs need coordinate points")
     family = build_cone_family(pts.dim, theta)
-    n, k = pts.n, len(family)
+    n, k, d = pts.n, len(family), pts.dim
     p_all = pts.points
-    block = max(1, _PAIR_BUDGET // n)
+    block = max(1, min(_PAIR_BUDGET // n, _TABLE_BUDGET // k))
+    # per cell = apex offset * k + cone: the least score and its least target;
+    # per pair = apex offset * n + target: the least cone it wins
+    best = np.full(block * k, np.inf)
+    winner = np.full(block * k, n)
+    won_cone = np.full(block * n, k)
     codes = []
     cones = []
     for lo in range(0, n, block):
-        n_apex = min(block, n - lo)
-        rel = p_all[None, :, :] - p_all[lo : lo + n_apex, None, :]
-        rel = rel.reshape(-1, pts.dim)
-        # pair = apex offset * n + target; rel is 0 only at the apex itself
-        pair, cone = _containing_cones(family, rel)
-        # through matmul, as nearest_point_on_ray's rel @ ray, so that ties
-        # between targets are the same float ties
-        score = np.matmul(rel[pair, None, :], family.rays[cone, :, None])
-        score = np.abs(score[:, 0, 0])
-        # group by (apex, cone), targets ascending within a group, so the
-        # first entry at the group minimum is the smallest-index winner
-        key = ((pair // n) * k + cone) * n + pair % n
-        order = np.argsort(key)
-        key, score = key[order], score[order]
-        group = key // n
-        start = np.flatnonzero(np.diff(group, prepend=-1))
-        best = np.minimum.reduceat(score, start)
-        sizes = np.diff(start, append=len(score))
-        hit = np.flatnonzero(score == np.repeat(best, sizes))
-        first = hit[np.diff(group[hit], prepend=-1) != 0]
-        won = group[first]  # apex offset * k + cone, ascending
-        # an edge won in several cones keeps the smallest cone id
-        edge, at = np.unique((won // k) * n + key[first] % n, return_index=True)
+        rel = np.empty((min(block, n - lo), n, d))
+        for axis in range(d):  # not broadcast over (apex, target, axis): 4x slower
+            col = p_all[:, axis]
+            np.subtract(col, col[lo : lo + len(rel), None], out=rel[:, :, axis])
+        rel = rel.reshape(-1, d)
+        cone, unclear = _cell_cones(family, rel)
+        score = _scores(family, rel, cone)
+        score[unclear] = np.nan  # fmin skips it and it ties with nothing
+        near, near_cone = _near_cones(family, rel, unclear)
+        pair = np.concatenate([np.arange(len(rel)), near])
+        cone = np.concatenate([cone, near_cone])
+        score = np.concatenate([score, _scores(family, rel[near], near_cone)])
+        cell = pair // n * k + cone
+        np.fmin.at(best, cell, score)
+        tie = np.flatnonzero(score == best.take(cell))
+        pair, cell, cone = pair.take(tie), cell.take(tie), cone.take(tie)
+        np.minimum.at(winner, cell, pair % n)
+        won = pair % n == winner.take(cell)
+        np.minimum.at(won_cone, pair[won], cone[won])
+        edge = np.flatnonzero(won_cone[: len(rel)] < k)
         codes.append(lo * n + edge)
-        cones.append(won[at] % k)
+        cones.append(won_cone.take(edge))
+        best[cell], winner[cell], won_cone[edge] = np.inf, n, k
     g = ProximityGraph.from_codes(n, np.concatenate(codes))
     edge_cones = np.concatenate(cones)
     g.meta = {"family": family, "theta": float(theta), "edge_cones": edge_cones}

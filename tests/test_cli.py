@@ -222,6 +222,17 @@ def test_theta_and_merged_builds(workspace):
     assert load_graph(best).edge_count == min(s for _, s in sizes)
 
 
+def test_builds_refuse_a_theta_below_the_floor(workspace, capsys):
+    tmp, pts = workspace
+    out = tmp / "g.txt"
+    for algo in ("theta", "merged"):
+        # eps / 32 = 1e-5 is the finest cone family the builder accepts
+        assert run(["build", algo, "--eps", 3.2e-4, "--in", pts, "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["build", algo, "--eps", 3.1e-4, "--in", pts, "--out", out]) == 2
+        assert "[1e-05, pi)" in capsys.readouterr().err
+
+
 def test_merged_build_honours_the_metric(workspace):
     tmp, pts = workspace
     built = {}
@@ -319,6 +330,11 @@ def test_bench_pins_machine_independent_outputs(tmp_path):
         "2af81a1e972b6f2648eee957563d34a71cc66adeffca4323d2116bad458f588a"
     )
     assert (net["edges"], net["levels"], net["theta_edges"]) == (179489, 15, 148863)
+    # the theta graph's edge codes and edge_cones, as the sort-based builder
+    # gave them
+    assert net["theta_sha256"] == (
+        "f172c54003cfbf9f2dc3b91fb45379897174e8eb76a4aa7367e48fbadd801538"
+    )
     assert net["dist_evals"]["theta"] is None
     stages = ("normalize", "hierarchy", "net_edges")
     assert [net["dist_evals"][s] for s in stages] == [2006, 3007 + 138407, 323546]

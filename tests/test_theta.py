@@ -23,8 +23,23 @@ from navgraph import (
     nearest_point_on_ray,
     standard_query_set,
 )
-from navgraph.theta import _containing_cones
+from navgraph import theta as theta_module
+from navgraph.theta import _cell_cones, _near_cones
 from conftest import normalized_instance, uniform_points
+
+
+def containing_cones(fam, rel):
+    """(pair, cone) for every cone the builder finds holding rel[pair]:
+    each clear vector's cell cone, and the near ones' closed-test passes."""
+    cell, unclear = _cell_cones(fam, rel)
+    clear = np.ones(len(rel), dtype=bool)
+    clear[unclear] = False
+    pair, cone = _near_cones(fam, rel, unclear)
+    pair = np.concatenate([np.flatnonzero(clear), pair])
+    cone = np.concatenate([cell[clear], cone])
+    # every listed cone passes cone_contains's closed test
+    assert (np.matmul(fam.normals[cone], rel[pair, :, None]) >= 0.0).all()
+    return pair, cone
 
 
 def test_sector_count_and_rays():
@@ -46,7 +61,7 @@ def test_every_direction_lands_in_some_cone_2d():
     k = len(fam)
     bd = 2.0 * math.pi * np.arange(k) / k
     dirs = np.vstack([dirs, np.stack([np.cos(bd), np.sin(bd)], axis=1)])
-    pair, _ = _containing_cones(fam, dirs)
+    pair, _ = containing_cones(fam, dirs)
     assert np.bincount(pair, minlength=len(dirs)).all()
 
 
@@ -56,7 +71,7 @@ def test_every_direction_lands_in_some_cone_3d():
     dirs = rng.normal(size=(800, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    pair, _ = _containing_cones(fam, np.vstack([dirs, poles]))
+    pair, _ = containing_cones(fam, np.vstack([dirs, poles]))
     assert np.bincount(pair, minlength=len(dirs) + 2).all()
     # angular diameter within theta: designated rays are inside, corners close
     for normals, ray in zip(fam.normals, fam.rays):
@@ -72,21 +87,31 @@ def test_cone_family_rejects_bad_arguments():
         build_cone_family(2, 4.0)
 
 
+def test_cone_family_rejects_theta_below_the_floor():
+    # the d=2 builder's clear margin outweighs atan2's and the closed tests'
+    # rounding with room to spare only down to 1e-5; finer families are refused
+    assert len(build_cone_family(2, 1e-5)) == math.ceil(2.0 * math.pi * 1e5)
+    with pytest.raises(DomainError, match="1e-05"):
+        build_cone_family(2, 0.99e-5)
+    with pytest.raises(DomainError, match="1e-05"):
+        build_cone_family(3, 0.99e-5)
+
+
 @given(st.integers(0, 2**31 - 1), st.sampled_from([0.8, 0.4]))
 @settings(max_examples=10, deadline=None)
 def test_theta_graph_matches_brute_2d(seed, theta):
     pts = uniform_points(30, 2, seed)
-    fast = build_theta_graph(pts, theta)
-    brute = build_theta_graph_brute(pts, theta)
-    assert fast == brute
-    for a, b in zip(fast.meta["edge_cones"], brute.meta["edge_cones"]):
-        assert np.array_equal(a, b)
+    assert_same_theta_graph(
+        build_theta_graph(pts, theta), build_theta_graph_brute(pts, theta)
+    )
 
 
 def test_theta_graph_matches_brute_3d():
     pts = uniform_points(25, 3, 4)
     theta = 0.6
-    assert build_theta_graph(pts, theta) == build_theta_graph_brute(pts, theta)
+    assert_same_theta_graph(
+        build_theta_graph(pts, theta), build_theta_graph_brute(pts, theta)
+    )
 
 
 def lattice(side, d, scale=1.0):
@@ -96,8 +121,7 @@ def lattice(side, d, scale=1.0):
 
 def assert_same_theta_graph(fast, brute):
     assert fast == brute
-    for a, b in zip(fast.meta["edge_cones"], brute.meta["edge_cones"]):
-        assert np.array_equal(a, b)
+    assert np.array_equal(fast.meta["edge_cones"], brute.meta["edge_cones"])
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.1])
@@ -123,6 +147,50 @@ def test_theta_graph_matches_brute_on_boundary_lattice_3d(z_stretch):
     assert_same_theta_graph(
         build_theta_graph(pts, 0.6), build_theta_graph_brute(pts, 0.6)
     )
+
+
+def clustered(n, d, seed):
+    rng = np.random.default_rng(seed)
+    centres = rng.random((3, d))
+    return PointSet(centres[rng.integers(0, 3, n)] + rng.normal(scale=1e-3, size=(n, d)))
+
+
+def box_frame(d, seed):
+    """The unit box's corners, the midpoints of its edges, and interior points:
+    apexes on the frame find half or more of their cones empty."""
+    corners = np.array(list(itertools.product([0.0, 1.0], repeat=d)))
+    mids = [c + 0.5 * np.eye(d)[a] for c in corners for a in range(d) if c[a] == 0.0]
+    inner = np.random.default_rng(seed).random((10, d))
+    return PointSet(np.vstack([corners, mids, inner]))
+
+
+#: (input, theta) pairs that the blocked builder must match the oracle on
+BLOCK_CASES = {
+    "uniform-2d": (uniform_points(30, 2, 5), 0.4),
+    "uniform-3d": (uniform_points(25, 3, 4), 0.6),
+    "lattice-2d": (lattice(6, 2), math.pi / 8),
+    "lattice-2d-scaled": (lattice(6, 2, 0.1), 0.4),
+    "lattice-3d": (lattice(3, 3, np.array([1.0, 1.0, 4.0])), 0.6),
+    "clustered-2d": (clustered(30, 2, 6), 0.4),
+    "clustered-3d": (clustered(25, 3, 7), 0.6),
+    "box-frame-2d": (box_frame(2, 8), 0.4),
+    "box-frame-3d": (box_frame(3, 9), 0.6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_theta_graph_matches_brute_across_apex_blocks(case, monkeypatch):
+    # blocks of 1, 4 and 7 apexes, so that the last block is short on most
+    # inputs, sized once by the pair budget and once by the table budget;
+    # each block must start from clean winner tables
+    pts, theta = BLOCK_CASES[case]
+    brute = build_theta_graph_brute(pts, theta)
+    k = len(brute.meta["family"])
+    for budget, per_apex in (("_PAIR_BUDGET", pts.n), ("_TABLE_BUDGET", k)):
+        for apexes in (1, 4, 7):
+            with monkeypatch.context() as m:
+                m.setattr(theta_module, budget, apexes * per_apex)
+                assert_same_theta_graph(build_theta_graph(pts, theta), brute)
 
 
 def test_theta_graph_out_degree_bounded_by_cone_count():

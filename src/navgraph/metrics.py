@@ -446,7 +446,7 @@ def _min_distance_grid(space: EuclideanSpace, points: np.ndarray, side: float) -
     ``space._pair_distances``, the arithmetic of ``space.distances``, so the
     minimum is bit-identical to the scan's.
     """
-    keys, shifts = cell_keys(points, side)
+    (keys,), shifts = cell_keys(points, side)
     order = np.argsort(keys, kind="stable")
     best = np.inf
     for q, pos in neighbour_pairs(keys[order], keys, shifts):

@@ -176,7 +176,7 @@ def _level_balls_grid(
     """
     points = pts.points
     n = len(points)
-    keys, shifts = cell_keys(points, thr)
+    (keys,), shifts = cell_keys(points, thr)
     mkeys = keys[members]
     order = np.argsort(mkeys, kind="stable")
     codes = [np.empty(0, dtype=np.int64)]

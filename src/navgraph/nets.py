@@ -6,12 +6,11 @@ point).  The hierarchy stacks nets at radii 2^0, 2^1, ..., 2^top_level over a
 point set normalized so its minimum inter-point distance is 2, which makes
 level 0 the whole set.
 
-Coordinate inputs are swept through a grid of cell side r at these
-power-of-two radii, each point tested only against the accepted points in
-the 3^d cells around its own.  Every level the grid does not take, which on
-abstract metrics is every level, is decided by one linear sweep over all
-radii at once: one distance row per point.  That sweep is also the grid's
-oracle.
+Coordinate inputs decide every level the grid takes in one sweep, a point
+tested at radius r only against the points accepted at r in the 3^d cells
+of side r around its own.  Every other level, which on abstract metrics is
+every level, is decided by one linear sweep over all radii at once: one
+distance row per point.  That sweep is also the grid's oracle.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def greedy_r_net(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray
     if radius <= 0:
         raise DomainError(f"net radius must be positive, got {radius}")
     if _on_grid(space, pts, radius):
-        return _greedy_r_net_grid(space, pts, radius)
+        return _grid_sweep(space, pts, [radius])[0]
     return _greedy_r_net_linear(space, pts, radius)
 
 
@@ -139,19 +138,23 @@ def _greedy_sweep(space: MetricSpace, pts: PointSet, radii) -> tuple[list[np.nda
     return [seen[~out[:count]] for out in outside], float(least)
 
 
-#: Points decided per step of the grid sweep.
+#: Points in the grid sweep's first block, doubling up to ``NET_BLOCK``: a
+#: small one settles the coarse radii, where all points are near each other.
+FIRST_BLOCK = 16
 NET_BLOCK = 256
 
 
-def _greedy_r_net_grid(space: EuclideanSpace, pts: PointSet, radius: float) -> np.ndarray:
-    """The linear sweep's net, with accepted points bucketed in cells of side r.
+def _grid_sweep(space: EuclideanSpace, pts: PointSet, radii) -> list[np.ndarray]:
+    """The linear sweep's net at each of ``radii``, with points bucketed in cells of side r.
 
-    Points go in index order, ``NET_BLOCK`` at a time.  A point is rejected
-    when an earlier accepted point lies closer than r; its candidates are
-    the accepted points in the 3^d cells around its own, earlier blocks'
-    found in one gather and its own block's resolved in index order.  The
+    Points go in index order, a block at a time.  A point is rejected at r
+    when an earlier point accepted at r lies closer than r; its candidates
+    are those in the 3^d cells around its own.  A block's (radius, point)
+    pairs take one lookup into the accepted points of every radius, keeping
+    the candidates tagged with their own radius, and the pairs left open
+    then meet their block's open pairs, resolved in index order.  The
     distances come from ``space._pair_distances``, the arithmetic of
-    ``space.distances``, and the accept rule is the sweep's, so the net is
+    ``space.distances``, and the accept rule is the sweep's, so each net is
     the same, provided no point closer than r is missed:
 
     * r = 2^i, so x / r is exact unless it underflows; an underflowing x
@@ -165,41 +168,54 @@ def _greedy_r_net_grid(space: EuclideanSpace, pts: PointSet, radius: float) -> n
     * Hence every true |dx_k| is below r, and the two cell indices differ
       by at most one on every axis.
     """
-    points = pts.points
-    keys, shifts = cell_keys(points, radius)
-    acc_keys = np.empty(0, dtype=np.int64)  # accepted points' cells, ascending
-    acc_rows = np.empty(0, dtype=np.int64)
-    for start in range(0, pts.n, NET_BLOCK):
-        block = np.arange(start, min(start + NET_BLOCK, pts.n))
-        rejected = np.zeros(len(block), dtype=bool)
-        for q, pos in neighbour_pairs(acc_keys, keys[block], shifts):
-            a, b = points.take(block[q], axis=0), points.take(acc_rows[pos], axis=0)
-            rejected[q[space._pair_distances(a, b) < radius]] = True
-        block = block[~rejected]
-        if len(block) == 0:
-            continue
-        bkeys = keys[block]
-        order = np.argsort(bkeys, kind="stable")
-        later, earlier = [], []
-        for q, pos in neighbour_pairs(bkeys[order], bkeys, shifts):
-            c = order[pos]
-            q, c = q[c < q], c[c < q]
-            a, b = points.take(block[q], axis=0), points.take(block[c], axis=0)
-            close = space._pair_distances(a, b) < radius
-            later.append(q[close])
-            earlier.append(c[close])
-        keep = [True] * len(block)
+    points, n = pts.points, pts.n
+    radii = np.asarray(radii, dtype=np.float64)
+    keys, shifts = cell_keys(points, *radii)
+
+    def close_pairs(sorted_keys, sorted_codes, query_keys, query_codes):
+        """(query, candidate) codes, radius index * n + point, of the pairs at
+        one radius whose candidate is the earlier point and closer than it."""
+        for q, pos in neighbour_pairs(sorted_keys, query_keys, shifts):
+            a, b = query_codes.take(q), sorted_codes.take(pos)
+            same = (b < a) & (b // n == a // n)
+            a, b = a[same], b[same]
+            d = space._pair_distances(points.take(a % n, axis=0), points.take(b % n, axis=0))
+            near = d < radii.take(a // n)
+            yield a[near], b[near]
+
+    acc_keys = acc_codes = np.empty(0, dtype=np.int64)  # accepted, by ascending cell
+    start, size = 0, FIRST_BLOCK
+    while start < n:
+        block = np.arange(start, min(start + size, n))
+        start, size, width = start + size, min(2 * size, NET_BLOCK), len(block)
+        pair_keys = keys[:, block].ravel()
+        pair_codes = (np.arange(len(radii))[:, None] * n + block).ravel()
+        rows = np.ones((len(radii), width), dtype=bool)  # [radius, point - block[0]]
+        for a, _ in close_pairs(acc_keys, acc_codes, pair_keys, pair_codes):
+            rows[a // n, a % n - block[0]] = False
+        live = np.flatnonzero(rows)
+        live_keys, live_codes = pair_keys[live], pair_codes[live]
+        order = np.argsort(live_keys, kind="stable")
+        pairs = [(live_codes[:0], live_codes[:0])]
+        pairs += close_pairs(live_keys[order], live_codes[order], live_keys, live_codes)
+        later, earlier = (np.concatenate(side) for side in zip(*pairs))
         # the pairs come in ascending order of their later point, so each
         # earlier point is decided before any pair reads it
-        for i, j in zip(np.concatenate(later).tolist(), np.concatenate(earlier).tolist()):
-            if keep[j]:
-                keep[i] = False
-        new = block[np.array(keep, dtype=bool)]
-        new = new[np.argsort(keys[new], kind="stable")]
-        at = np.searchsorted(acc_keys, keys[new])
-        acc_keys = np.insert(acc_keys, at, keys[new])
-        acc_rows = np.insert(acc_rows, at, new)
-    return np.sort(acc_rows)
+        cuts = np.searchsorted(later, np.arange(len(radii) + 1) * n).tolist()
+        later, earlier = (later % n - block[0]).tolist(), (earlier % n - block[0]).tolist()
+        rows = rows.tolist()
+        for keep, lo, hi in zip(rows, cuts, cuts[1:]):
+            for i, j in zip(later[lo:hi], earlier[lo:hi]):
+                if keep[j]:
+                    keep[i] = False
+        new = np.flatnonzero(rows)
+        order = np.argsort(pair_keys[new], kind="stable")
+        at = np.searchsorted(acc_keys, pair_keys[new[order]])
+        acc_keys = np.insert(acc_keys, at, pair_keys[new[order]])
+        acc_codes = np.insert(acc_codes, at, pair_codes[new[order]])
+    acc_codes.sort()
+    bounds = np.searchsorted(acc_codes, np.arange(len(radii) + 1) * n)
+    return [acc_codes[lo:hi] - k * n for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def verify_r_net(
@@ -264,14 +280,16 @@ def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
     :func:`navgraph.netpg.normalize` to bring raw inputs into that form.  The
     top level is ceil(log2(twice the anchor's farthest distance)), so its
     radius is at least the diameter and twice every point's distance to
-    point 0: the coarsest net is {0}.  Levels the grid does not take go
-    through one ``_greedy_sweep``.
+    point 0: the coarsest net is {0}.  The levels the grid takes go through
+    one ``_grid_sweep``, and the others through one ``_greedy_sweep``.
 
     Coordinate inputs take their extremes from ``estimate_extremes``, which
-    also enforces the range window.  Abstract inputs take the anchor row
-    themselves, and the minimum from the sweep: on a normalised input the
-    radius-2 net keeps every point, so the sweep has measured every pair
-    once and its least distance is ``pairwise_min_distance``'s, bit for bit.
+    also enforces the range window (``normalize``'s minimum, scaled, misses
+    the scaled points' in the last bits, and the aspect ratio reads theirs).
+    Abstract inputs take the anchor row themselves, and the minimum from the
+    sweep: on a normalised input the radius-2 net keeps every point, so the
+    sweep has measured every pair once and its least distance is
+    ``pairwise_min_distance``'s, bit for bit.
     Where that net lost a point, ``estimate_extremes`` runs after all and
     rejects the input with its own message or the one below.
     """
@@ -299,8 +317,8 @@ def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
         )
     nets = dict(zip(linear, swept))
     nets[1.0] = np.arange(pts.n, dtype=np.int64)
-    levels = [
-        Net(radius=r, members=nets[r] if r in nets else greedy_r_net(space, pts, r))
-        for r in radii
-    ]
+    grid = [r for r in radii[1:] if r not in nets]
+    if grid:
+        nets.update(zip(grid, _grid_sweep(space, pts, grid)))
+    levels = [Net(radius=r, members=nets[r]) for r in radii]
     return NetHierarchy(top, tuple(levels), extremes)

@@ -75,6 +75,7 @@ class ConeFamily:
     theta: float
     normals: np.ndarray  # (k, m, d) inward halfspace normals per cone
     rays: np.ndarray  # (k, d) designated rays
+    slots: Optional[np.ndarray] = None  # d=3: cone id per (band, column, triangle), or -1
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -137,7 +138,8 @@ def _build_sphere_cells(theta: float) -> ConeFamily:
     a, b = verts[:-1], verts[1:]
     c, d = np.roll(b, -1, axis=1), np.roll(a, -1, axis=1)
     quads = np.stack([np.stack([a, b, c], axis=2), np.stack([a, c, d], axis=2)], axis=2)
-    corners = quads[_sphere_slots(n_lat, n_lon)]  # (k, 3 corners p q r, 3)
+    valid = _sphere_slots(n_lat, n_lon)
+    corners = quads[valid]  # (k, 3 corners p q r, 3)
     following = np.roll(corners, -1, axis=1)  # q r p
     normals = np.cross(corners, following)  # p x q, q x r, r x p
     rays = corners.sum(axis=1)
@@ -148,11 +150,14 @@ def _build_sphere_cells(theta: float) -> ConeFamily:
     assert inside.all(), "centroid ray left its cone"
     # orientation sanity: each face normal keeps the third corner
     assert (np.einsum("kcd,kcd->kc", normals, np.roll(corners, -2, axis=1)) >= 0).all()
+    slots = np.full(valid.shape, -1, dtype=np.int64)
+    slots[valid] = np.arange(len(rays))
     return ConeFamily(
         dimension=3,
         theta=float(theta),
         normals=normals,
         rays=rays,
+        slots=slots,
     )
 
 
@@ -228,11 +233,10 @@ def _sector_turns(rel: np.ndarray, k: int) -> np.ndarray:
 
 
 def _sphere_cells(family: ConeFamily, rel: np.ndarray):
-    """(band, column) of each d=3 vector, and the (band, column, triangle)
-    table of cone ids (-1 where the pole collapses a triangle)."""
-    n_lat, n_lon = _sphere_grid(family.theta)
-    slot = np.full((n_lat, n_lon, 2), -1, dtype=np.int64)
-    slot[_sphere_slots(n_lat, n_lon)] = np.arange(len(family))
+    """(band, column) of each d=3 vector, and the family's ``slots`` table
+    (-1 where the pole collapses a triangle)."""
+    slot = family.slots
+    n_lat, n_lon = slot.shape[:2]
     x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
     band = np.floor(np.arctan2(np.hypot(x, y), z) * (n_lat / math.pi)).astype(np.int64)
     column = np.floor(np.arctan2(y, x) * (n_lon / (2.0 * math.pi))).astype(np.int64)

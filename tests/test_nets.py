@@ -216,6 +216,19 @@ def test_hierarchy_on_hand_checked_line(line_points):
     assert len(h.members(h.top_level)) == 1
 
 
+def test_hierarchy_measures_the_normalised_minimum_itself():
+    # normalize's minimum, scaled, is not the scaled points' minimum in the
+    # last bits, and the aspect ratio (tau, the jackpot draws) reads the
+    # latter, so the hierarchy cannot take the former instead
+    space, pts = EuclideanSpace(2), uniform_points(200, 2, 0)
+    norm = normalize(space, pts)
+    scaled = norm.scale * pairwise_min_distance(space, pts)
+    least = pairwise_min_distance(norm.space, norm.points)
+    assert least != scaled and least != 2.0
+    h = build_net_hierarchy(norm.space, norm.points)
+    assert h.extremes.min_distance == least / 2.0
+
+
 def test_hierarchy_requires_normalized_min_distance():
     space = EuclideanSpace(1)
     with pytest.raises(DomainError):
@@ -253,12 +266,12 @@ def _planted_pair(n, seed):
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("d,side", [(1, 40), (2, 9), (3, 4), (4, 3)])
 def test_grid_net_equals_linear_sweep_on_lattices(norm, d, side):
-    from navgraph.nets import _greedy_r_net_grid, _greedy_r_net_linear
+    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
 
     space = EuclideanSpace(d, norm=norm)
     pts = _lattice(d, side, seed=d)
-    for radius in (0.5, 1.0, 2.0, 4.0, 8.0, 64.0):
-        got = _greedy_r_net_grid(space, pts, radius)
+    radii = (0.5, 1.0, 2.0, 4.0, 8.0, 64.0)
+    for radius, got in zip(radii, _grid_sweep(space, pts, radii)):
         assert np.array_equal(got, _greedy_r_net_linear(space, pts, radius)), radius
 
 
@@ -278,17 +291,48 @@ def test_grid_hierarchy_equals_linear_sweep(norm, d):
             assert np.array_equal(h.members(level), want), level
 
 
+def _sweep_inputs(d):
+    """A sorted line, a shuffled lattice with points on cell boundaries, and clusters."""
+    rng = np.random.default_rng(40 + d)
+    line = np.zeros((300, d))
+    line[:, 0] = np.arange(300.0) * 2.0
+    lattice = _lattice(d, {1: 150, 2: 8, 3: 3, 4: 2}[d], seed=d).points * 2.0
+    centres = rng.random((5, d)) * 200.0
+    clusters = centres[rng.integers(0, 5, 300)] + rng.normal(scale=3.0, size=(300, d))
+    return {"line": line, "lattice": lattice, "clusters": clusters}
+
+
+@pytest.mark.parametrize("kind", ["line", "lattice", "clusters"])
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_grid_sweep_equals_linear_sweep_per_level(d, norm, kind):
+    # the all-level sweep on normalised input, every level against the
+    # single-radius linear sweep
+    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
+
+    space = EuclideanSpace(d, norm=norm)
+    norm_in = normalize(space, PointSet(_sweep_inputs(d)[kind]))
+    h = build_net_hierarchy(norm_in.space, norm_in.points)
+    radii = [2.0**level for level in range(1, h.top_level + 1)]
+    swept = _grid_sweep(norm_in.space, norm_in.points, radii)
+    for level, (radius, got) in enumerate(zip(radii, swept), start=1):
+        want = _greedy_r_net_linear(norm_in.space, norm_in.points, radius)
+        assert np.array_equal(got, want), level
+        assert np.array_equal(h.members(level), want), level
+
+
 def test_grid_net_block_and_chunk_boundaries(monkeypatch):
-    # several blocks per sweep and several chunks per neighbour lookup
+    # several growing blocks per sweep and several chunks per neighbour lookup
     from navgraph import _grid, nets
 
+    monkeypatch.setattr(nets, "FIRST_BLOCK", 3)
     monkeypatch.setattr(nets, "NET_BLOCK", 7)
     monkeypatch.setattr(_grid, "CHUNK_PAIRS", 5)
     space = EuclideanSpace(2)
     pts = _lattice(2, 6, seed=4)
-    for radius in (1.0, 2.0, 4.0):
-        want = nets._greedy_r_net_linear(space, pts, radius)
-        assert np.array_equal(nets._greedy_r_net_grid(space, pts, radius), want)
+    radii = (1.0, 2.0, 4.0)
+    for radius, got in zip(radii, nets._grid_sweep(space, pts, radii)):
+        assert np.array_equal(got, nets._greedy_r_net_linear(space, pts, radius)), radius
 
 
 @given(
@@ -296,11 +340,11 @@ def test_grid_net_block_and_chunk_boundaries(monkeypatch):
     st.integers(2, 120),
     st.integers(1, 4),
     st.sampled_from(["l2", "linf"]),
-    st.integers(-3, 3),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
 )
 @settings(max_examples=40, deadline=None)
-def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponent):
-    from navgraph.nets import _greedy_r_net_grid, _greedy_r_net_linear
+def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponents):
+    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
 
     rng = np.random.default_rng(seed)
     # coarse integer coordinates put many points on cell boundaries and at
@@ -308,10 +352,9 @@ def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponent):
     pts = np.unique(rng.integers(-6, 7, size=(n, d)), axis=0) * 0.5
     pts = PointSet(pts[rng.permutation(len(pts))])
     space = EuclideanSpace(d, norm=norm)
-    radius = 2.0**exponent
-    assert np.array_equal(
-        _greedy_r_net_grid(space, pts, radius), _greedy_r_net_linear(space, pts, radius)
-    )
+    radii = [2.0**e for e in exponents]
+    for radius, got in zip(radii, _grid_sweep(space, pts, radii)):
+        assert np.array_equal(got, _greedy_r_net_linear(space, pts, radius)), radius
 
 
 def test_grid_net_falls_back_where_cells_overflow():

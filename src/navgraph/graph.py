@@ -16,6 +16,10 @@ else ``DomainError``.
 (1+eps)-approximate nearest neighbor or has an out-neighbor strictly closer.
 It takes queries in blocks, one distance matrix each, and clears most
 (query, vertex) pairs by a few probe reads; only the rest read the whole row.
+On coordinate inputs a vertex's probes are its nearest sampled out-neighbour
+in each orthant of the first few axes, so whatever side of the vertex the
+query lies on, one probe usually points its way; abstract inputs probe
+``PROBES`` index-spaced out-neighbours.
 
 A ``ProximityGraph`` stores its adjacency once, as CSR (``flat``,
 ``offsets``).  Builders hand it their edges as sorted codes v * n + t
@@ -51,8 +55,13 @@ __all__ = [
 
 #: ``check_navigable``'s blocks hold about this many (query, point) distances.
 BLOCK_CELLS = 1 << 13
-#: Out-neighbours read per (query, vertex) pair before its whole row is.
+#: Abstract inputs: out-neighbours read per (query, vertex) pair before its
+#: whole row is.
 PROBES = 16
+#: Coordinate inputs: index-spaced out-neighbours each vertex ranks for its
+#: probes, and the axes whose signs name an orthant (2^ORTHANT_AXES probes).
+SAMPLE = 32
+ORTHANT_AXES = 4
 
 
 class ProximityGraph:
@@ -378,6 +387,48 @@ class NavigabilityWitness:
     best_neighbor_distance: float
 
 
+def _spaced(graph, count):
+    """(n, count): out-neighbour k of v is flat[off[v] + k*deg[v]//count], or
+    v itself if deg[v] = 0, which is never strictly closer to any query."""
+    deg = np.diff(graph.offsets)
+    has = deg > 0
+    pos = graph.offsets[:-1][has, None] + np.arange(count) * deg[has, None] // count
+    picks = np.repeat(np.arange(graph.n)[:, None], count, axis=1)
+    picks[has] = graph.flat[pos]
+    return picks
+
+
+def _probes(graph, pts):
+    """Probe-major (probes, n) table of vertices each v is compared with.
+
+    Every probe of v is v or an out-neighbour of v, so a probe strictly
+    closer to a query is a real exit and v itself never clears a pair.
+    Abstract inputs take ``PROBES`` index-spaced out-neighbours.  Coordinate
+    inputs rank ``SAMPLE`` index-spaced ones by squared coordinate offset (no
+    metric call) and take, for each orthant of the first min(d,
+    ``ORTHANT_AXES``) axes (offset >= 0 per axis), the nearest sampled
+    neighbour in it, ties to the earlier sample, else v.
+    """
+    if pts.is_abstract:
+        return np.ascontiguousarray(_spaced(graph, PROBES).T)
+    sample = _spaced(graph, SAMPLE)
+    sq = np.zeros(sample.shape)
+    orthant = np.zeros(sample.shape, dtype=np.int64)
+    for a, col in enumerate(pts.points.T):
+        off = col.take(sample) - col[:, None]
+        sq += off * off
+        if a < ORTHANT_AXES:
+            orthant += (off >= 0) << a
+    order = np.lexsort((sq, orthant))  # per row: by orthant, nearest first
+    ranked = np.take_along_axis(orthant, order, axis=1)
+    first = np.ones(sample.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    v, j = np.nonzero(first)
+    probes = np.tile(np.arange(graph.n), (1 << min(pts.dim, ORTHANT_AXES), 1))
+    probes[ranked[v, j], v] = sample[v, order[v, j]]
+    return probes
+
+
 def _block_witness(graph, space, pts, epsilon, probes, block, b0):
     """The first witness among the queries ``block``, numbered from ``b0``.
 
@@ -428,13 +479,7 @@ def check_navigable(
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
     queries = list(queries)
-    # probe k of vertex v is flat[off[v] + k*deg[v]//PROBES], or v itself if
-    # deg[v] = 0, which is never strictly closer; probe-major, like the rows
-    deg = np.diff(graph.offsets)
-    pos = graph.offsets[:-1] + np.arange(PROBES)[:, None] * deg // PROBES
-    probes = np.tile(np.arange(graph.n), (PROBES, 1))
-    probes[:, deg > 0] = graph.flat[pos[:, deg > 0]]
-    check = partial(_block_witness, graph, space, pts, epsilon, probes)
+    check = partial(_block_witness, graph, space, pts, epsilon, _probes(graph, pts))
     step = max(1, BLOCK_CELLS // graph.n)
     for b0 in range(0, len(queries), step):
         block = queries[b0 : b0 + step]

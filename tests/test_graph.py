@@ -28,9 +28,13 @@ from navgraph import (
 )
 from navgraph.graph import (
     BLOCK_CELLS,
+    ORTHANT_AXES,
+    PROBES,
+    SAMPLE,
     _check_query_distance,
     _check_query_shape,
     _greedy_engine,
+    _probes,
 )
 from conftest import uniform_points
 
@@ -265,8 +269,32 @@ def assert_matches_oracle(graph, space, pts, epsilon, queries):
 TREE6 = TreeMetricSpace(6)  # points are leaves 0..31; leaf 63 is far from all
 
 
+def layout_points(layout, n, d, rng):
+    """n distinct points in [0, 1)^d: uniform, on a line along axis 0 (every
+    other offset is zero), or on a lattice (rows share coordinates)."""
+    if layout == "uniform":
+        return rng.random((n, d))
+    if layout == "line":
+        points = np.zeros((n, d))
+        points[:, 0] = rng.permutation(n) / n
+        return points
+    side = 2
+    while side**d < n:
+        side += 1
+    cells = rng.choice(side**d, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (side,) * d), axis=1) / side
+
+
+def random_graph(n, k, empty, rng):
+    """Out-degree k from random targets, a share ``empty`` of rows emptied."""
+    src = np.repeat(np.arange(n), k)
+    tgt = rng.integers(0, n, size=n * k)
+    keep = (tgt != src) & (rng.random(n) >= empty)[src]
+    return ProximityGraph.from_codes(n, np.unique(src[keep] * n + tgt[keep]))
+
+
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_check_navigable_equals_the_per_query_oracle(data):
     kind = data.draw(st.sampled_from(["l2", "linf", "tree"]))
     n = data.draw(st.sampled_from([2, 7, 30] + ([] if kind == "tree" else [700, 3000])))
@@ -275,16 +303,19 @@ def test_check_navigable_equals_the_per_query_oracle(data):
         space, pts = TREE6, PointSet(rng.choice(32, size=n, replace=False))
         far, near, bad = 63, lambda: int(rng.integers(32)), [[1, 2], 2.5, 64]
     else:
-        space, pts = EuclideanSpace(2, kind), PointSet(rng.random((n, 2)))
-        far = np.array([1e6, 1e6])  # every vertex is an ANN: passes on any graph
-        near = lambda: rng.random(2) * 1.4 - 0.2
-        bad = [np.array([0.5]), np.array([np.nan, 0.5]), np.array([np.inf, 0.5])]
-    # out-degree k from random targets, some rows emptied; k = 0 is edgeless
-    k = data.draw(st.sampled_from([0, 1, 4, 20]))
-    src = np.repeat(np.arange(n), k)
-    tgt = rng.integers(0, n, size=n * k)
-    keep = (tgt != src) & (rng.random(n) >= data.draw(st.sampled_from([0.0, 0.3])))[src]
-    graph = ProximityGraph.from_codes(n, np.unique(src[keep] * n + tgt[keep]))
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        layout = data.draw(st.sampled_from(["uniform", "line", "lattice"]))
+        space = EuclideanSpace(d, kind)
+        pts = PointSet(layout_points(layout, n, d, rng))
+        far = np.full(d, 1e6)  # every vertex is an ANN: passes on any graph
+        # a box sample, or a data point: zero offsets to it on every axis
+        near = lambda: rng.random(d) * 1.4 - 0.2 if rng.random() < 0.5 else pts[rng.integers(n)]
+        bad = [np.full(2 if d == 1 else 1, 0.5)] + [
+            np.array([x] + [0.5] * (d - 1)) for x in (np.nan, np.inf)
+        ]
+    # k = 0 is edgeless; k = 40 exceeds the probe sample
+    k = data.draw(st.sampled_from([0, 1, 4, 20, 40]))
+    graph = random_graph(n, k, data.draw(st.sampled_from([0.0, 0.3])), rng)
     block = max(1, BLOCK_CELLS // n)
     count = data.draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
     queries = [far] * max(1, count)
@@ -296,6 +327,64 @@ def test_check_navigable_equals_the_per_query_oracle(data):
         queries[data.draw(position)] = data.draw(st.sampled_from(bad))
     epsilon = data.draw(st.sampled_from([0.1, 0.5, 1.0, 3.0]))
     assert_matches_oracle(graph, space, pts, epsilon, queries)
+
+
+def mixed_degree_graph(n, rng):
+    """Rows empty, shorter than the probe sample, as long, and longer."""
+    rows = []
+    for v in range(n):
+        degree = min(n - 1, rng.choice([0, 1, 5, 31, 32, 33, 80]))
+        t = rng.choice(n - 1, size=degree, replace=False)
+        rows.append(np.sort(t + (t >= v)))
+    return ProximityGraph(n, rows)
+
+
+def probes_by_definition(graph, pts, v):
+    """Vertex v's probes, one scalar at a time; on coordinates, for rows no
+    longer than the sample."""
+    row = [int(t) for t in graph.out_edges[v]]
+    if pts.is_abstract:
+        return [row[k * len(row) // PROBES] if row else v for k in range(PROBES)]
+    axes = min(pts.dim, ORTHANT_AXES)
+    want = [v] * 2**axes
+    offsets = {t: pts.points[t] - pts.points[v] for t in row}
+    for k in range(2**axes):
+        signs = [bool(k >> a & 1) for a in range(axes)]
+        inside = [t for t in row if [x >= 0 for x in offsets[t][:axes]] == signs]
+        if inside:  # sum of squares in axis order, ties to the smaller index
+            want[k] = min(inside, key=lambda t: (sum(x * x for x in offsets[t]), t))
+    return want
+
+
+@pytest.mark.parametrize(
+    "space",
+    [EuclideanSpace(d, norm) for norm in ("l2", "linf") for d in range(1, 6)] + [TREE6],
+    ids=[f"{norm}-d{d}" for norm in ("l2", "linf") for d in range(1, 6)] + ["tree"],
+)
+def test_every_probe_is_the_vertex_or_an_out_neighbour(space):
+    """The exactness hinge: a probe clears a pair only as a real exit.
+
+    Covers an edgeless graph and rows shorter than, as long as and longer
+    than the coordinate sample; d = 5 checks the cap on orthant axes.
+    """
+    rng = np.random.default_rng(7)
+    if space is TREE6:
+        pts = PointSet(rng.choice(32, size=30, replace=False))
+        queries = [int(x) for x in rng.integers(64, size=10)]
+    else:
+        pts = PointSet(layout_points("lattice", 150, space.dim, rng))
+        queries = [pts[i] for i in range(10)] + list(rng.random((10, space.dim)))
+    count = PROBES if pts.is_abstract else 2 ** min(space.dim, ORTHANT_AXES)
+    edgeless = ProximityGraph.from_codes(pts.n, np.array([], dtype=np.int64))
+    for graph in (edgeless, mixed_degree_graph(pts.n, rng)):
+        probes = _probes(graph, pts)
+        assert probes.shape == (count, pts.n)
+        for v, row in enumerate(graph.out_edges):
+            assert set(probes[:, v].tolist()) <= {v, *row.tolist()}
+            if pts.is_abstract or len(row) <= SAMPLE:  # the sample is the whole row
+                assert probes[:, v].tolist() == probes_by_definition(graph, pts, v)
+        for epsilon in (0.5, 1e6):  # a witness early, or a full pass
+            assert_matches_oracle(graph, space, pts, epsilon, queries)
 
 
 @pytest.mark.parametrize(

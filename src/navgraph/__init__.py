@@ -59,7 +59,6 @@ from .hard import (
 from .metrics import (
     BlockMetricSpace,
     EuclideanSpace,
-    ExtremeEstimate,
     MetricSpace,
     PointSet,
     ScaledSpace,
@@ -67,7 +66,6 @@ from .metrics import (
     TriangleWitness,
     brute_force_nn,
     cross_distances,
-    estimate_extremes,
     pairwise_min_distance,
     verify_triangle,
 )

@@ -185,7 +185,7 @@ def build_euclid_pg(
         space = EuclideanSpace(pts.dim)
     norm = normalize(space, pts)
     hierarchy = build_net_hierarchy(norm.space, norm.points)
-    aspect = hierarchy.extremes.aspect_ratio
+    aspect = hierarchy.aspect_ratio
     config = derive_sample_config(
         pts.n, aspect, rate_constant=rate_constant, seed=seed, repeats=repeats
     )

@@ -41,10 +41,8 @@ __all__ = [
     "BlockMetricSpace",
     "ScaledSpace",
     "PointSet",
-    "ExtremeEstimate",
     "TriangleWitness",
     "brute_force_nn",
-    "estimate_extremes",
     "verify_triangle",
     "pairwise_min_distance",
     "cross_distances",
@@ -351,24 +349,6 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class ExtremeEstimate:
-    """Constant-factor distance extremes, as ``estimate_extremes`` takes them.
-
-    ``max_distance`` is twice the farthest distance from the anchor point
-    (index 0) and lies in [d_max, 2 d_max]; ``min_distance`` is exactly
-    d_min / 2; ``aspect_ratio`` is their quotient and lies in [2, 4] times
-    the true aspect ratio d_max / d_min.
-    """
-
-    min_distance: float
-    max_distance: float
-
-    @property
-    def aspect_ratio(self) -> float:
-        return self.max_distance / self.min_distance
-
-
-@dataclass(frozen=True)
 class TriangleWitness:
     """A triple violating the triangle inequality: d(a, b) > d(a, c) + d(c, b)."""
 
@@ -504,23 +484,6 @@ def cross_distances(space: MetricSpace, a_elements, b_elements) -> np.ndarray:
     for i in range(len(a_elements)):
         out[i] = space.distances(b_elements, a_elements[i])
     return out
-
-
-def estimate_extremes(space: MetricSpace, pts: PointSet) -> ExtremeEstimate:
-    """d_max within a factor 2 from one distance row, and d_min / 2 exactly.
-
-    The max estimate doubles the farthest distance from the anchor point
-    (index 0), which is at least d_max / 2 by the triangle inequality.  The
-    min estimate halves the exact minimum of ``pairwise_min_distance``.
-    """
-    if pts.n < 2:
-        raise DomainError("extreme estimates require at least two points")
-    anchor_row = space.distances(pts.points, pts.points[0])
-    dmax_hat = 2.0 * float(anchor_row.max())
-    dmin_hat = pairwise_min_distance(space, pts) / 2.0
-    if dmin_hat <= 0:
-        raise DomainError("degenerate point set: zero minimum distance")
-    return ExtremeEstimate(min_distance=dmin_hat, max_distance=dmax_hat)
 
 
 def verify_triangle(

@@ -4,18 +4,20 @@ An r-net of P is a subset Y that is r-separated (distinct net points lie at
 distance >= r) and r-covering (every point of P lies within r of some net
 point).  The hierarchy stacks nets at radii 2^0, 2^1, ..., 2^top_level over a
 point set normalized so its minimum inter-point distance is 2, which makes
-level 0 the whole set.
+level 0 the whole set.  It owns the distance extremes: one anchor row sets
+the top level, the exact minimum checks the normalisation, and the two give
+the aspect ratio that sizes the merge's sampling.
 
 Coordinate inputs decide every level the grid takes in one sweep, a point
 tested at radius r only against the points accepted at r in the 3^d cells
 of side r around its own.  Every other level, which on abstract metrics is
 every level, is decided by one linear sweep over all radii at once: one
-distance row per point.  That sweep is also the grid's oracle.
+distance row per point.  ``greedy_r_net`` is that sweep at one radius, the
+definitional oracle of both.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,13 +25,7 @@ import numpy as np
 
 from ._grid import cell_keys, fits, neighbour_pairs
 from ._util import DomainError, ceil_log2
-from .metrics import (
-    EuclideanSpace,
-    ExtremeEstimate,
-    MetricSpace,
-    PointSet,
-    estimate_extremes,
-)
+from .metrics import EuclideanSpace, MetricSpace, PointSet, pairwise_min_distance
 
 __all__ = [
     "Net",
@@ -70,37 +66,28 @@ def greedy_r_net(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray
     construction and r-covering because every rejected point saw an accepted
     point within r.  Deterministic: no RNG, ties resolved by index order.
 
-    Coordinate inputs at a power-of-two radius, the radii the hierarchy
-    uses, take the grid sweep when ``_on_grid`` says so.  Other inputs take
-    the linear sweep at this one radius, which is also the grid's oracle.
+    The definitional linear sweep at one radius, one distance row per
+    point: the oracle of the hierarchy's grid and all-radii sweeps.
     """
     if radius <= 0:
         raise DomainError(f"net radius must be positive, got {radius}")
-    if _on_grid(space, pts, radius):
-        return _grid_sweep(space, pts, [radius])[0]
-    return _greedy_r_net_linear(space, pts, radius)
+    return _greedy_sweep(space, pts, [radius])[0][0]
 
 
 def _on_grid(space: MetricSpace, pts: PointSet, radius: float) -> bool:
-    """Whether the net at ``radius`` takes the grid sweep.
+    """Whether the hierarchy's net at ``radius``, a power of two, takes the grid sweep.
 
-    Coordinate inputs at a power of two whose cell indices fit in int64, and
-    whose 3^d cells a point looks up are fewer than a third of the points:
-    on uniform input at d = 4 to 7 the grid overtakes the linear sweep
-    between 1.5 and 3 times 3^d points.
+    Coordinate inputs whose cell indices fit in int64, and whose 3^d cells
+    a point looks up are fewer than a third of the points: on uniform input
+    at d = 4 to 7 the grid overtakes the linear sweep between 1.5 and 3
+    times 3^d points.
     """
     return (
         not pts.is_abstract
         and isinstance(space, EuclideanSpace)
-        and math.frexp(radius)[0] == 0.5  # a power of two
         and 3 ** (pts.dim + 1) < pts.n
         and fits(pts.points, radius)
     )
-
-
-def _greedy_r_net_linear(space: MetricSpace, pts: PointSet, radius: float) -> np.ndarray:
-    """The definitional sweep at one radius."""
-    return _greedy_sweep(space, pts, [radius])[0][0]
 
 
 def _greedy_sweep(space: MetricSpace, pts: PointSet, radii) -> tuple[list[np.ndarray], float]:
@@ -110,9 +97,9 @@ def _greedy_sweep(space: MetricSpace, pts: PointSet, radii) -> tuple[list[np.nda
     points accepted at some radius so far (``seen``, ascending) and joins
     the net at radius r iff ``row >= r`` for every seen member of that net:
     the sweep's rule, NaN included, as a net's members are all seen.  At one
-    radius the seen points are the net, so the calls and rows are the
-    single-radius sweep's.  When some net keeps every point, every pair is
-    measured exactly once and the least distance is the exact minimum.
+    radius the seen points are the net: that is ``greedy_r_net``.  When
+    some net keeps every point, every pair is measured exactly once and the
+    least distance is the exact minimum.
     """
     if len(radii) == 0:
         return [], np.inf
@@ -262,19 +249,22 @@ class NetHierarchy:
     """Nets at radii 2^0 .. 2^top_level over a normalized point set.
 
     Level 0 is always the full index set: with minimum distance 2, every
-    point is 1-separated and covers itself.
+    point is 1-separated and covers itself.  ``aspect_ratio`` is twice the
+    anchor's (point 0's) farthest distance, which lies in [d_max, 2 d_max]
+    by the triangle inequality, over half the exact minimum d_min: it lies
+    in [2, 4] times the true aspect ratio d_max / d_min.
     """
 
     top_level: int
     levels: tuple[Net, ...]
-    extremes: ExtremeEstimate
+    aspect_ratio: float
 
     def members(self, level: int) -> np.ndarray:
         return self.levels[level].members
 
 
 def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
-    """Build the full stack of greedy nets for a normalized point set.
+    """Build the full stack of greedy nets for a normalized point set, and its aspect ratio.
 
     Requires minimum inter-point distance 2 (within relative tolerance); use
     :func:`navgraph.netpg.normalize` to bring raw inputs into that form.  The
@@ -283,42 +273,34 @@ def build_net_hierarchy(space: MetricSpace, pts: PointSet) -> NetHierarchy:
     point 0: the coarsest net is {0}.  The levels the grid takes go through
     one ``_grid_sweep``, and the others through one ``_greedy_sweep``.
 
-    Coordinate inputs take their extremes from ``estimate_extremes``, which
+    Coordinate inputs take the minimum from ``pairwise_min_distance``, which
     also enforces the range window (``normalize``'s minimum, scaled, misses
     the scaled points' in the last bits, and the aspect ratio reads theirs).
-    Abstract inputs take the anchor row themselves, and the minimum from the
-    sweep: on a normalised input the radius-2 net keeps every point, so the
-    sweep has measured every pair once and its least distance is
-    ``pairwise_min_distance``'s, bit for bit.
-    Where that net lost a point, ``estimate_extremes`` runs after all and
-    rejects the input with its own message or the one below.
+    Abstract inputs take it from the sweep: on a normalised input the
+    radius-2 net keeps every point, so the sweep has measured every pair
+    once and its least distance is ``pairwise_min_distance``'s, bit for bit.
+    Where that net lost a point, ``pairwise_min_distance`` runs after all,
+    and the input is rejected with its own message or one of the two below.
     """
     if pts.n < 2:
         raise DomainError("a net hierarchy needs at least two points")
-    if pts.is_abstract:
-        extremes = None
-        dmax = 2.0 * float(space.distances(pts.points, pts.points[0]).max())
-    else:
-        extremes = estimate_extremes(space, pts)
-        dmax = extremes.max_distance
-    top = ceil_log2(dmax) if dmax > 0 else 0  # 0 if degenerate: estimate_extremes says why
+    dmax = 2.0 * float(space.distances(pts.points, pts.points[0]).max())
+    least = None if pts.is_abstract else pairwise_min_distance(space, pts)
+    top = ceil_log2(dmax) if dmax > 0 else 0  # 0 if degenerate: rejected below
     radii = [float(2.0**i) for i in range(top + 1)]
     linear = [r for r in radii[1:] if not _on_grid(space, pts, r)]
-    swept, least = _greedy_sweep(space, pts, linear)
-    if extremes is None:
-        if linear[:1] == [2.0] and len(swept[0]) == pts.n:
-            extremes = ExtremeEstimate(min_distance=least / 2.0, max_distance=dmax)
-        else:
-            extremes = estimate_extremes(space, pts)
-    observed_min = 2.0 * extremes.min_distance  # the estimate halves it
-    if abs(observed_min - 2.0) > MIN_DISTANCE_RTOL * 2.0:
-        raise DomainError(
-            f"point set is not normalized: min distance {observed_min}, expected 2"
-        )
+    swept, swept_least = _greedy_sweep(space, pts, linear)
+    if least is None:
+        kept_all = linear[:1] == [2.0] and len(swept[0]) == pts.n
+        least = swept_least if kept_all else pairwise_min_distance(space, pts)
+    if least <= 0:
+        raise DomainError("degenerate point set: zero minimum distance")
+    if abs(least - 2.0) > MIN_DISTANCE_RTOL * 2.0:
+        raise DomainError(f"point set is not normalized: min distance {least}, expected 2")
     nets = dict(zip(linear, swept))
     nets[1.0] = np.arange(pts.n, dtype=np.int64)
     grid = [r for r in radii[1:] if r not in nets]
     if grid:
         nets.update(zip(grid, _grid_sweep(space, pts, grid)))
     levels = [Net(radius=r, members=nets[r]) for r in radii]
-    return NetHierarchy(top, tuple(levels), extremes)
+    return NetHierarchy(top, tuple(levels), aspect_ratio=dmax / (least / 2.0))

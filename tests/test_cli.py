@@ -337,8 +337,9 @@ def test_bench_pins_machine_independent_outputs(tmp_path):
     )
     assert net["dist_evals"]["theta"] is None
     stages = ("normalize", "hierarchy", "net_edges")
-    # the hierarchy: estimate_extremes, then the one grid sweep over every
-    # level (138407 pairs when each level had a sweep of its own)
+    # the hierarchy: its anchor row (1000) and pairwise_min_distance (2007),
+    # then the one grid sweep over every level (138407 pairs when each level
+    # had a sweep of its own)
     assert [net["dist_evals"][s] for s in stages] == [2006, 3007 + 21410, 323546]
     assert net["query_dist_evals"] == {"p50": 521, "p99": 779}
     assert net["dist_evals"]["navigable"] == 1000 * 1000 and net["navigable"]

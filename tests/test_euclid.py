@@ -240,6 +240,16 @@ def test_one_draw_build_records_its_own_size():
     assert np.array_equal(g.meta["jackpots"], sample_jackpots(pts.n, g.meta["config"]))
 
 
+def test_best_of_runs_keeps_its_draws():
+    # the aspect ratio sets tau, and with it every draw: pinned bit for bit
+    g = best_of_runs(uniform_points(300, 2, 7), 1.0, seed=5, repeats=6)
+    assert g.meta["aspect_ratio"].hex() == "0x1.7dbecd3f32795p+9"
+    assert g.meta["config"].keep_probability.hex() == "0x1.abb714f09ecd3p-2"
+    assert g.meta["run_sizes"] == [
+        (5, 39868), (6, 39283), (7, 39458), (8, 39540), (9, 39046), (10, 39653)
+    ]
+
+
 @pytest.mark.parametrize("kwargs", [{"repeats": 0}, {"rate_constant": 0.0}])
 def test_merged_arguments_rejected_before_normalize(monkeypatch, kwargs):
     import navgraph.euclid as euclid

@@ -16,7 +16,7 @@ from navgraph import (
 )
 from navgraph._grid import cell_keys, neighbour_pairs
 from navgraph.metrics import _min_distance_blocked
-from navgraph.nets import _greedy_r_net_linear, _greedy_sweep
+from navgraph.nets import _greedy_sweep, _grid_sweep
 
 INT64_MIN = np.iinfo(np.int64).min
 
@@ -84,7 +84,7 @@ def test_wrapped_cell_numbers_lose_no_candidates():
     assert pairwise_min_distance(space, pts) == _min_distance_blocked(space, pts) == 2.0
     norm = normalize(space, pts)
     assert norm.scale == 1.0
-    assert np.array_equal(greedy_r_net(space, pts, 4.0), _greedy_r_net_linear(space, pts, 4.0))
+    assert np.array_equal(_grid_sweep(space, pts, [4.0])[0], greedy_r_net(space, pts, 4.0))
     h = build_net_hierarchy(space, pts)
     radii = [2.0**level for level in range(1, h.top_level + 1)]
     for level, want in enumerate(_greedy_sweep(space, pts, radii)[0], start=1):

@@ -14,7 +14,6 @@ from navgraph import (
     TreeMetricSpace,
     brute_force_nn,
     cross_distances,
-    estimate_extremes,
     gen_block_instance,
     pairwise_min_distance,
     verify_triangle,
@@ -468,21 +467,6 @@ def test_norm_kernel_equals_the_reduction_formula(d, norm, data):
         got = space._pair_distances(x, y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-def test_estimate_extremes_brackets_truth():
-    rng = np.random.default_rng(4)
-    pts = PointSet(rng.random((80, 2)))
-    space = EuclideanSpace(2)
-    est = estimate_extremes(space, pts)
-    true_min = pairwise_min_distance(space, pts)
-    d = cross_distances(space, pts.points, pts.points)
-    true_max = float(d.max())
-    # documented 2-approximation intervals: never above the true min, never
-    # below the true max
-    assert true_min / 2 <= est.min_distance <= true_min
-    assert true_max <= est.max_distance <= 2 * true_max
-    assert est.aspect_ratio == est.max_distance / est.min_distance
 
 
 def test_verify_triangle_flags_planted_violation():

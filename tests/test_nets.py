@@ -15,7 +15,7 @@ from navgraph import (
     ScaledSpace,
     TreeMetricSpace,
     build_net_hierarchy,
-    estimate_extremes,
+    cross_distances,
     greedy_r_net,
     normalize,
     pairwise_min_distance,
@@ -79,7 +79,7 @@ def _literal_net(space, pts, radius):
 @settings(max_examples=60, deadline=None)
 def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radii):
     # every radius of one sweep gets the net the literal loop gives it alone
-    from navgraph.nets import _greedy_r_net_linear, _greedy_sweep
+    from navgraph.nets import _greedy_sweep
 
     rng = np.random.default_rng(seed)
     if kind == "tree":
@@ -93,7 +93,7 @@ def test_linear_sweep_equals_the_literal_double_loop(seed, n, kind, d, radii):
     for radius, got in zip(radii, nets):
         assert got.dtype == np.int64
         assert got.tolist() == _literal_net(space, pts, radius), radius
-    single = _greedy_r_net_linear(space, pts, radii[0])
+    single = greedy_r_net(space, pts, radii[0])
     assert single.dtype == np.int64 and np.array_equal(single, nets[0])
 
 
@@ -110,15 +110,20 @@ def _abstract_inputs():
         yield EuclideanSpace(d, kind), uniform_points(3 ** (d + 1), d, seed=d)
 
 
+def _anchor_bound(space, pts):
+    """Twice the farthest distance from point 0: in [d_max, 2 d_max]."""
+    return 2.0 * float(space.distances(pts.points, pts.points[0]).max())
+
+
 @pytest.mark.parametrize("case", range(16))
 def test_swept_hierarchy_matches_its_definition(case):
     space, pts = list(_abstract_inputs())[case]
     norm = normalize(space, pts)
     h = build_net_hierarchy(norm.space, norm.points)
-    want = estimate_extremes(norm.space, norm.points)
-    assert h.extremes.min_distance == want.min_distance
-    assert h.extremes.max_distance == want.max_distance
-    assert h.top_level == ceil_log2(want.max_distance)
+    dmax = _anchor_bound(norm.space, norm.points)
+    least = pairwise_min_distance(norm.space, norm.points)
+    assert h.aspect_ratio == dmax / (least / 2.0)
+    assert h.top_level == ceil_log2(dmax)
     assert h.members(0).tolist() == list(range(pts.n))
     for level in range(1, h.top_level + 1):
         got = h.members(level)
@@ -226,13 +231,44 @@ def test_hierarchy_measures_the_normalised_minimum_itself():
     least = pairwise_min_distance(norm.space, norm.points)
     assert least != scaled and least != 2.0
     h = build_net_hierarchy(norm.space, norm.points)
-    assert h.extremes.min_distance == least / 2.0
+    assert h.aspect_ratio == _anchor_bound(norm.space, norm.points) / (least / 2.0)
+
+
+@pytest.mark.parametrize(
+    "space,pts",
+    [
+        (EuclideanSpace(2), uniform_points(80, 2, 4)),
+        (EuclideanSpace(3, "linf"), uniform_points(60, 3, 9)),
+        (TreeMetricSpace(8), PointSet(np.random.default_rng(2).choice(256, 40, replace=False))),
+    ],
+    ids=["l2", "linf", "tree"],
+)
+def test_hierarchy_aspect_ratio_brackets_truth(space, pts):
+    # twice the anchor's farthest distance over half the exact minimum lies
+    # in [2, 4] times the true d_max / d_min
+    norm = normalize(space, pts)
+    h = build_net_hierarchy(norm.space, norm.points)
+    d = cross_distances(norm.space, norm.points.points, norm.points.points)
+    true_max = float(d.max())
+    np.fill_diagonal(d, np.inf)
+    true_aspect = true_max / float(d.min())
+    assert 2.0 * true_aspect <= h.aspect_ratio <= 4.0 * true_aspect
 
 
 def test_hierarchy_requires_normalized_min_distance():
-    space = EuclideanSpace(1)
-    with pytest.raises(DomainError):
-        build_net_hierarchy(space, PointSet(np.array([[0.0], [1.0]])))
+    window = (
+        f"outside the range window: coordinate magnitude {2.0**501:.3g} exceeds "
+        "2^500, where squared distances overflow"
+    )
+    cases = [
+        ([0.0, 1.0], "point set is not normalized: min distance 1.0, expected 2"),
+        ([0.0, 4.0, 12.0], "point set is not normalized: min distance 4.0, expected 2"),
+        ([0.0, 1.0, 2.0**501], window),  # the window comes before the minimum
+    ]
+    for coords, message in cases:
+        pts = PointSet(np.array(coords)[:, None])
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build_net_hierarchy(EuclideanSpace(1), pts)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(2, 50))
@@ -266,20 +302,18 @@ def _planted_pair(n, seed):
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("d,side", [(1, 40), (2, 9), (3, 4), (4, 3)])
 def test_grid_net_equals_linear_sweep_on_lattices(norm, d, side):
-    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
+    from navgraph.nets import _grid_sweep
 
     space = EuclideanSpace(d, norm=norm)
     pts = _lattice(d, side, seed=d)
     radii = (0.5, 1.0, 2.0, 4.0, 8.0, 64.0)
     for radius, got in zip(radii, _grid_sweep(space, pts, radii)):
-        assert np.array_equal(got, _greedy_r_net_linear(space, pts, radius)), radius
+        assert np.array_equal(got, greedy_r_net(space, pts, radius)), radius
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_grid_hierarchy_equals_linear_sweep(norm, d):
-    from navgraph.nets import _greedy_r_net_linear
-
     space = EuclideanSpace(d, norm=norm)
     raw = uniform_points(600, d, seed=10 + d).points - 0.5  # negative coordinates
     inputs = [PointSet(raw)] + ([_planted_pair(1000, 311)] if d == 2 else [])
@@ -287,7 +321,7 @@ def test_grid_hierarchy_equals_linear_sweep(norm, d):
         norm_in = normalize(space, pts)
         h = build_net_hierarchy(norm_in.space, norm_in.points)
         for level in range(1, h.top_level + 1):
-            want = _greedy_r_net_linear(norm_in.space, norm_in.points, 2.0**level)
+            want = greedy_r_net(norm_in.space, norm_in.points, 2.0**level)
             assert np.array_equal(h.members(level), want), level
 
 
@@ -308,7 +342,7 @@ def _sweep_inputs(d):
 def test_grid_sweep_equals_linear_sweep_per_level(d, norm, kind):
     # the all-level sweep on normalised input, every level against the
     # single-radius linear sweep
-    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
+    from navgraph.nets import _grid_sweep
 
     space = EuclideanSpace(d, norm=norm)
     norm_in = normalize(space, PointSet(_sweep_inputs(d)[kind]))
@@ -316,7 +350,7 @@ def test_grid_sweep_equals_linear_sweep_per_level(d, norm, kind):
     radii = [2.0**level for level in range(1, h.top_level + 1)]
     swept = _grid_sweep(norm_in.space, norm_in.points, radii)
     for level, (radius, got) in enumerate(zip(radii, swept), start=1):
-        want = _greedy_r_net_linear(norm_in.space, norm_in.points, radius)
+        want = greedy_r_net(norm_in.space, norm_in.points, radius)
         assert np.array_equal(got, want), level
         assert np.array_equal(h.members(level), want), level
 
@@ -332,7 +366,7 @@ def test_grid_net_block_and_chunk_boundaries(monkeypatch):
     pts = _lattice(2, 6, seed=4)
     radii = (1.0, 2.0, 4.0)
     for radius, got in zip(radii, nets._grid_sweep(space, pts, radii)):
-        assert np.array_equal(got, nets._greedy_r_net_linear(space, pts, radius)), radius
+        assert np.array_equal(got, nets.greedy_r_net(space, pts, radius)), radius
 
 
 @given(
@@ -344,7 +378,7 @@ def test_grid_net_block_and_chunk_boundaries(monkeypatch):
 )
 @settings(max_examples=40, deadline=None)
 def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponents):
-    from navgraph.nets import _greedy_r_net_linear, _grid_sweep
+    from navgraph.nets import _grid_sweep
 
     rng = np.random.default_rng(seed)
     # coarse integer coordinates put many points on cell boundaries and at
@@ -354,14 +388,20 @@ def test_grid_net_equals_linear_sweep_property(seed, n, d, norm, exponents):
     space = EuclideanSpace(d, norm=norm)
     radii = [2.0**e for e in exponents]
     for radius, got in zip(radii, _grid_sweep(space, pts, radii)):
-        assert np.array_equal(got, _greedy_r_net_linear(space, pts, radius)), radius
+        assert np.array_equal(got, greedy_r_net(space, pts, radius)), radius
 
 
 def test_grid_net_falls_back_where_cells_overflow():
-    # cell indices of 2^70 at radius 1 do not fit in int64: the linear sweep runs
-    from navgraph.nets import _greedy_r_net_linear
+    # 2^70 / r fits the grid's cell indices only above r = 2^9, so the
+    # hierarchy sweeps radii 2^1 .. 2^9 linearly and the rest on the grid
+    from navgraph.nets import _on_grid
 
     space = EuclideanSpace(1)
-    pts = PointSet(np.array([[0.0], [2.0**70], [2.0**70 + 2.0**18], [1.0]]))
-    assert greedy_r_net(space, pts, 1.0).tolist() == [0, 1, 2, 3]
-    assert np.array_equal(greedy_r_net(space, pts, 4.0), _greedy_r_net_linear(space, pts, 4.0))
+    pts = PointSet(np.array([[2.0 * i] for i in range(10)] + [[2.0**70]]))
+    h = build_net_hierarchy(space, pts)
+    assert h.top_level == 71
+    grid = [level for level in range(1, 72) if _on_grid(space, pts, 2.0**level)]
+    assert grid == list(range(10, 72))
+    for level in range(h.top_level + 1):
+        want = greedy_r_net(space, pts, 2.0**level)
+        assert np.array_equal(h.members(level), want), level

@@ -6,8 +6,8 @@ axis 0 with stride 1, so the 3^d cells around a cell are 3^(d-1) runs of
 three consecutive numbers; several sides can share one numbering, side k's
 numbers k boxes up.  The numbers are int64 and wrap modulo 2^64 when the
 boxes hold more than 2^63 cells; distinct cells may then share a number,
-which only adds candidates that the caller's distance test or side tag
-rejects, and a run may straddle the wrap, which the lookup follows.  The
+which only adds candidates for the caller's distance test or side tag to
+decide, and a run may straddle the wrap, which the lookup follows.  The
 per-axis cell indices must stay below 2^61 so that spans of them fit in
 int64: ``fits`` is the one test of that, and each caller either falls back
 to its linear path when it fails or, in ``netpg.normalize``, rejects the

@@ -35,7 +35,7 @@ from .graph import (
     _greedy_engine,
     merge_graphs,
 )
-from .metrics import EuclideanSpace, MetricSpace, PointSet
+from .metrics import EuclideanSpace, MetricSpace, PointSet, _id_array
 from .netpg import build_net_pg_fast, normalize
 from .nets import build_net_hierarchy
 from .theta import build_theta_graph
@@ -112,13 +112,17 @@ def sample_jackpots(n: int, config: SampleConfig) -> np.ndarray:
     return np.flatnonzero(rng.random(n) < config.keep_probability).astype(np.int64)
 
 
+def _jackpot_mask(n: int, jackpots) -> np.ndarray:
+    """The jackpots as a mask over n vertices; a non-vertex id raises."""
+    ids = _id_array(jackpots, n, f"jackpot id {{}} is outside the vertices [0, {n})")
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return mask
+
+
 def sparsify(g_net: ProximityGraph, jackpots: np.ndarray) -> ProximityGraph:
     """Keep the out-edges of the jackpot vertices verbatim, drop the rest."""
-    jackpots = np.asarray(jackpots, dtype=np.int64)
-    if len(jackpots) and (jackpots.min() < 0 or jackpots.max() >= g_net.n):
-        raise DomainError("jackpot indices outside the vertex range")
-    keep = np.zeros(g_net.n, dtype=bool)
-    keep[jackpots] = True
+    keep = _jackpot_mask(g_net.n, jackpots)
     keys = g_net.edge_keys()
     keys = keys[keep[keys // g_net.n]]
     return ProximityGraph.from_codes(g_net.n, keys)
@@ -235,8 +239,7 @@ def jackpot_query(
     if aspect_ratio <= 0:
         raise DomainError(f"aspect ratio must be positive, got {aspect_ratio}")
     cap = 1 + ceil_log2(2.0 * aspect_ratio)
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[np.asarray(jackpots, dtype=np.int64)] = True
+    mask = _jackpot_mask(graph.n, jackpots)
     trace = _greedy_engine(
         graph, space, pts, start, q, jackpot_mask=mask, jackpot_cap=cap
     )
@@ -269,8 +272,7 @@ def jackpot_condition_check(
     """
     n = pts.n
     length = max(1, math.ceil(math.log(n) * math.log2(max(aspect_ratio, 2.0))))
-    mask = np.zeros(n, dtype=bool)
-    mask[np.asarray(jackpots, dtype=np.int64)] = True
+    mask = _jackpot_mask(n, jackpots)
     _check_query_shape(pts, q)
     row = space.distances(pts.points, q)
     _check_query_distance(float(row.min()))

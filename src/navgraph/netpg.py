@@ -13,10 +13,10 @@ Two builders produce byte-identical adjacency, deciding each pair once:
 * ``build_net_pg_naive`` takes one distance row per point.  It is the
   oracle, and on abstract metrics, where no coordinates exist to bucket, it
   is also the production path.
-* ``build_net_pg_fast`` collects, for coordinate inputs, the balls of each
-  top level's points through one static grid of cell side
-  reach_factor * 2^level, so only the 3^d cells around a point are scanned;
-  abstract inputs go to the naive rule.
+* ``build_net_pg_fast`` files, for coordinate inputs, each target in a grid
+  cell of side its own reach, every reach sharing one cell numbering, so one
+  lookup scans only the 3^d cells around each point at each side; abstract
+  inputs go to the naive rule.
 """
 
 from __future__ import annotations
@@ -117,17 +117,17 @@ def normalize(space: MetricSpace, pts: PointSet) -> NormalizedInput:
 
 
 def _level_threshold(phi: float, level):
-    # phi * 2^level for a level or an array of them: ldexp only moves phi's
-    # exponent, so the threshold is exact in float64.
+    # phi * 2^level: ldexp only moves phi's exponent, so the threshold is
+    # exact in float64.
     return np.ldexp(phi, level)
 
 
-def _top_levels(hierarchy: NetHierarchy, n: int) -> np.ndarray:
-    """The highest level whose net holds each point, -1 for a point in none."""
-    top = np.full(n, -1, dtype=np.int64)
+def _reach(hierarchy: NetHierarchy, n: int, phi: float) -> np.ndarray:
+    """Each point's reach as a target: phi * 2^top(p), or -inf in no level."""
+    reach = np.full(n, -np.inf)
     for level in range(hierarchy.top_level + 1):
-        top[hierarchy.members(level)] = level
-    return top
+        reach[hierarchy.members(level)] = _level_threshold(phi, level)
+    return reach
 
 
 def build_net_pg_naive(
@@ -149,8 +149,7 @@ def build_net_pg_naive(
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon)
     n = pts.n
-    top = _top_levels(hierarchy, n)
-    reach = np.where(top >= 0, _level_threshold(params.reach_factor, top), -np.inf)
+    reach = _reach(hierarchy, n, params.reach_factor)
     codes = []
     for p in range(n):
         hits = np.flatnonzero(space.distances(pts.points, pts.points[p]) <= reach)
@@ -158,33 +157,6 @@ def build_net_pg_naive(
     g = ProximityGraph.from_codes(n, np.concatenate(codes))
     g.meta = {"hierarchy": hierarchy, "params": params}
     return g
-
-
-def _level_balls_grid(
-    space: EuclideanSpace, pts: PointSet, members: np.ndarray, thr: float
-) -> np.ndarray:
-    """All radius-thr balls around every point, via one static grid per level.
-
-    Points and net members fall in cells of side thr; any member within
-    distance thr of p lies in a cell adjacent to p's (coordinate-wise index
-    difference at most 1), so the 3^d surrounding cells are a certified
-    candidate superset.  Candidate pairs are gathered and measured in
-    chunks through ``space._pair_distances``, the arithmetic of the per-row
-    path, so the balls are bitwise identical to a linear scan's.  Returns
-    the ascending codes p * n + y of every point p and every member y in
-    its ball, p's own code included.
-    """
-    points = pts.points
-    n = len(points)
-    (keys,), shifts = cell_keys(points, thr)
-    mkeys = keys[members]
-    order = np.argsort(mkeys, kind="stable")
-    codes = [np.empty(0, dtype=np.int64)]
-    for p, pos in neighbour_pairs(mkeys[order], keys, shifts):
-        y = members[order[pos]]
-        inside = space._pair_distances(points.take(y, axis=0), points.take(p, axis=0)) <= thr
-        codes.append(p[inside] * n + y[inside])
-    return np.sort(np.concatenate(codes))
 
 
 def build_net_pg_fast(
@@ -195,26 +167,35 @@ def build_net_pg_fast(
 ) -> ProximityGraph:
     """Production builder; byte-identical adjacency to the naive builder.
 
-    Coordinate inputs group the targets by top level and collect each
-    group's balls of radius reach_factor * 2^level through a static grid,
-    measuring the candidate pairs of many points per batch, which amortizes
-    the per-point overhead that dominates the row-per-point rule at desk
-    scale; each (p, y) pair is decided once, in y's group.  Abstract metrics
-    have no coordinates to bucket, and the definitional rule is the fastest
-    correct path there, so they get ``build_net_pg_naive``.
+    Coordinate inputs take one grid pass: each target y is filed in a cell
+    of side reach(y), all reaches sharing one cell numbering, and each point
+    looks up the 3^d cells around its own at every side, which hold every y
+    within reach(y).  Candidate pairs are measured in chunks through
+    ``space._pair_distances``, the per-row path's arithmetic, and kept by
+    the edge rule itself.  Abstract metrics have no coordinates to bucket,
+    and the definitional rule is the fastest correct path there, so they get
+    ``build_net_pg_naive``.
     """
     if pts.is_abstract or not isinstance(space, EuclideanSpace):
         return build_net_pg_naive(space, pts, epsilon, hierarchy)
     if hierarchy is None:
         hierarchy = build_net_hierarchy(space, pts)
     params = pg_params(epsilon)
-    n = pts.n
-    top = _top_levels(hierarchy, n)
+    points, n = pts.points, pts.n
+    reach = _reach(hierarchy, n, params.reach_factor)
+    targets = np.flatnonzero(reach > -np.inf)
     codes = [np.empty(0, dtype=np.int64)]
-    for level in np.unique(top[top >= 0]):
-        thr = _level_threshold(params.reach_factor, level)
-        balls = _level_balls_grid(space, pts, np.flatnonzero(top == level), thr)
-        codes.append(balls[balls // n != balls % n])
+    if len(targets):  # a hand-made hierarchy may hold no point at all
+        sides, side = np.unique(reach[targets], return_inverse=True)
+        keys, shifts = cell_keys(points, *sides)
+        tkeys = keys[side, targets]
+        order = np.argsort(tkeys, kind="stable")
+        targets = targets[order]
+        for q, pos in neighbour_pairs(tkeys[order], keys.ravel(), shifts):
+            p, y = q % n, targets[pos]
+            dist = space._pair_distances(points.take(y, axis=0), points.take(p, axis=0))
+            keep = (p != y) & (dist <= reach[y])
+            codes.append(p[keep] * n + y[keep])
     # wrapped cell numbers (see ``_grid``) can yield a pair twice
     g = ProximityGraph.from_codes(n, sorted_distinct(np.concatenate(codes)))
     g.meta = {"hierarchy": hierarchy, "params": params}

@@ -109,6 +109,8 @@ def run_query_protocol(
     verified per walk against the brute-force nearest neighbor.
     """
     _check_epsilon(epsilon)
+    if starts_per_query < 1:  # zero walks would pass vacuously
+        raise DomainError(f"starts_per_query must be >= 1, got {starts_per_query}")
     if graph.n != pts.n:
         raise DomainError(f"graph has {graph.n} vertices for {pts.n} points")
     queries = list(queries)

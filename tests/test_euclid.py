@@ -201,6 +201,24 @@ def test_jackpot_condition_check_detects_uncovered_long_walk():
     )
 
 
+@pytest.mark.parametrize("bad", [-1, 6, 0.5])
+@pytest.mark.parametrize("call", ["sparsify", "jackpot_query", "condition_check"])
+def test_jackpot_ids_outside_the_vertices_are_refused(call, bad):
+    # -1 would mark vertex n - 1 and 0.5 vertex 0; each is named instead
+    n = 6
+    pts = PointSet(np.arange(n, dtype=np.float64)[:, None] * 2.0)
+    g = ProximityGraph(n, [[v + 1] if v + 1 < n else [] for v in range(n)])
+    space, q = EuclideanSpace(1), np.array([20.0])
+    run = {
+        "sparsify": lambda ids: sparsify(g, ids),
+        "jackpot_query": lambda ids: jackpot_query(g, space, pts, 0, q, ids, 4.0),
+        "condition_check": lambda ids: jackpot_condition_check(g, space, pts, q, ids, 4.0),
+    }[call]
+    run([0, n - 1])
+    with pytest.raises(DomainError, match=f"jackpot id {bad} "):
+        run([0, bad])
+
+
 def test_best_of_runs_materializes_the_minimum():
     pts = uniform_points(70, 2, 12)
     winner = best_of_runs(pts, 1.0, seed=5, repeats=6)

@@ -13,9 +13,11 @@ from navgraph import (
     greedy_r_net,
     normalize,
     pairwise_min_distance,
+    pg_params,
 )
 from navgraph._grid import cell_keys, neighbour_pairs
 from navgraph.metrics import _min_distance_blocked
+from navgraph.netpg import _reach
 from navgraph.nets import _greedy_sweep, _grid_sweep
 
 INT64_MIN = np.iinfo(np.int64).min
@@ -81,11 +83,16 @@ def test_wrapped_cell_numbers_lose_no_candidates():
     for side in (4.0, 18.0):
         (keys,), _ = cell_keys(pts.points, side)
         assert INT64_MIN in keys  # a run straddles the wrap at this side
+    # and in the edge build's numbering: one side per distinct reach
+    h = build_net_hierarchy(space, pts)
+    reach = _reach(h, pts.n, pg_params(1.0).reach_factor)
+    keys, shifts = cell_keys(pts.points, *np.unique(reach[np.isfinite(reach)]))
+    centres = keys.ravel()[:, None] + shifts
+    assert (centres - 1 > centres + 1).any()  # the run's ends wrap apart
     assert pairwise_min_distance(space, pts) == _min_distance_blocked(space, pts) == 2.0
     norm = normalize(space, pts)
     assert norm.scale == 1.0
     assert np.array_equal(_grid_sweep(space, pts, [4.0])[0], greedy_r_net(space, pts, 4.0))
-    h = build_net_hierarchy(space, pts)
     radii = [2.0**level for level in range(1, h.top_level + 1)]
     for level, want in enumerate(_greedy_sweep(space, pts, radii)[0], start=1):
         assert np.array_equal(h.members(level), want), level
@@ -93,3 +100,23 @@ def test_wrapped_cell_numbers_lose_no_candidates():
         space, pts, 1.0, hierarchy=h
     )
 
+
+def test_sides_sharing_one_box_decide_each_pair_once():
+    # cells of the smallest reach, 18, span 2^32 on both axes, so each box
+    # holds 2^64 numbers and every side's box starts at 0: a point's number
+    # near the origin is the same at every side, so a pair there meets at
+    # every side and is kept once
+    axes = np.arange(6) * 2.0
+    lattice = np.stack(np.meshgrid(axes, axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    far = 18.0 * (2**32 - 3) + 2
+    pts = PointSet(np.vstack([lattice, [[far, 0.0], [0.0, far]]]))
+    space = EuclideanSpace(2)
+    h = build_net_hierarchy(space, pts)
+    reach = _reach(h, pts.n, pg_params(1.0).reach_factor)
+    sides = np.unique(reach[np.isfinite(reach)])
+    keys, _ = cell_keys(pts.points, *sides)
+    assert sides[0] == 18.0 and len(sides) > 2
+    assert (keys[:, 0] == 1 + 2**32).all()  # the origin, cell (1, 1) in every box
+    assert build_net_pg_fast(space, pts, 1.0, hierarchy=h) == build_net_pg_naive(
+        space, pts, 1.0, hierarchy=h
+    )

@@ -28,7 +28,7 @@ from navgraph import (
     verify_r_net,
 )
 from navgraph.graph import sorted_distinct
-from navgraph.netpg import _level_balls_grid, _level_threshold
+from navgraph.netpg import _level_threshold
 from conftest import normalized_instance, uniform_points
 
 
@@ -191,6 +191,43 @@ def test_builders_equal_per_level_oracle(metric, lattice, seed, n, eps, data):
     assert build_net_pg_fast(space, pts, eps, hierarchy=h) == want
 
 
+#: A far coordinate: an even integer up to 2^62, exact in float64; 2^62 is
+#: the first one outside the range window.
+far_coordinate = st.builds(
+    lambda sign, m, e: sign * m * 2.0**e,
+    st.sampled_from([-1.0, 1.0]),
+    st.integers(0, 16),
+    st.integers(1, 58),
+)
+
+
+@given(
+    st.sampled_from(["l2", "linf"]),
+    st.integers(1, 3),
+    st.sampled_from([1.0, 0.25]),
+    st.integers(0, 2**31 - 1),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_near_limit_inputs_are_refused_or_built_exactly(norm, d, eps, seed, data):
+    # even-integer clusters, one holding a pair at distance 2, the minimum,
+    # the others centred up to 2^62 out: cell numbers wrap there, and a
+    # cluster's offsets round into its centre
+    rng = np.random.default_rng(seed)
+    far = data.draw(st.lists(st.lists(far_coordinate, min_size=d, max_size=d), max_size=4))
+    centres = np.vstack([np.zeros((1, d)), np.array(far).reshape(-1, d)])
+    blobs = [c + 2.0 * rng.integers(-3, 4, size=(rng.integers(1, 12), d)) for c in centres]
+    x = np.unique(np.vstack([np.zeros((1, d)), 2.0 * np.eye(1, d), *blobs]), axis=0)
+    space, pts = EuclideanSpace(d, norm=norm), PointSet(x)
+    try:
+        assert normalize(space, pts).scale == 1.0
+        h = build_net_hierarchy(space, pts)
+        fast = build_net_pg_fast(space, pts, eps, hierarchy=h)
+    except DomainError:
+        return
+    assert fast == build_net_pg_naive(space, pts, eps, hierarchy=h)
+
+
 def test_point_in_no_level_gets_no_in_edges():
     space, pts, h = hierarchy_for(40, 2, 3)
     levels = [Net(radius=net.radius, members=net.members[net.members != 7]) for net in h.levels]
@@ -202,17 +239,28 @@ def test_point_in_no_level_gets_no_in_edges():
         assert len(g.out_edges[7]) > 0
 
 
-def test_batched_collector_matches_linear_scan():
-    # the grid on a member subset that is not a net of the points
-    space, pts = normalized_instance(70, 2, 9)
-    members = np.arange(0, 70, 3, dtype=np.int64)
-    thr = 9.0
-    codes = _level_balls_grid(space, pts, members, thr)
-    assert (np.diff(codes) > 0).all()
-    for p in range(pts.n):
-        row = space.distances(pts.points[members], pts.points[p])
-        ball = codes[codes // pts.n == p] % pts.n
-        assert np.array_equal(ball, members[row <= thr]), p
+def test_grid_builder_on_levels_that_are_not_nets():
+    # level 0 every third point, the other levels random member subsets:
+    # targets of every reach lie anywhere, not where a net puts them
+    space, pts, h = hierarchy_for(70, 2, 9)
+    rng = np.random.default_rng(9)
+    members = [np.arange(0, 70, 3, dtype=np.int64)]
+    members += [np.flatnonzero(rng.random(pts.n) < 0.3) for _ in h.levels[1:]]
+    levels = tuple(Net(radius=net.radius, members=m) for net, m in zip(h.levels, members))
+    subsets = dataclasses.replace(h, levels=levels)
+    want = per_level_oracle(space, pts, 1.0, subsets)
+    assert build_net_pg_fast(space, pts, 1.0, hierarchy=subsets) == want
+    assert build_net_pg_naive(space, pts, 1.0, hierarchy=subsets) == want
+
+
+def test_hierarchy_with_no_members_gives_the_empty_graph():
+    space, pts, h = hierarchy_for(30, 2, 4)
+    empty = np.empty(0, dtype=np.int64)
+    levels = tuple(Net(radius=net.radius, members=empty) for net in h.levels)
+    bare = dataclasses.replace(h, levels=levels)
+    for build in (build_net_pg_naive, build_net_pg_fast):
+        g = build(space, pts, 1.0, hierarchy=bare)
+        assert g.n == pts.n and g.edge_count == 0
 
 
 def test_edge_rule_direct_quantifier_check():

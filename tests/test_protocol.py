@@ -85,6 +85,15 @@ def test_protocol_collects_planted_failure():
     assert qi == 0 and final == start and final_dist > threshold
 
 
+@pytest.mark.parametrize("starts", [0, -1])
+def test_protocol_refuses_fewer_than_one_start(starts):
+    # zero walks would report all_ann vacuously
+    space, pts = normalized_instance(20, 2, 4)
+    g = build_net_pg_fast(space, pts, 0.5)
+    with pytest.raises(DomainError, match="starts_per_query must be >= 1"):
+        run_query_protocol(g, space, pts, 0.5, [pts.points[0]], starts_per_query=starts)
+
+
 def test_protocol_flags_log_drop_violation_on_foreign_graph():
     # a long one-way path makes hops that improve by tiny amounts, which
     # breaks the ceil(log2) strict-drop law that net graphs satisfy
